@@ -10,12 +10,28 @@ where Dx = D_x (x) I, Dy = I (x) D_y are Kronecker lifts of the trimmed
 differentiation matrices, Gx, Gy sample the velocities at the inner
 nodes, the boundary blocks A and B integrate the kernels against the
 mixed derivative of the interpolant, and M applies mortality inside the
-double cumulative integral.  The kernel integrals use tensor
-Clenshaw-Curtis cubature; all cumulative integrals are factorization
-solves with the trimmed matrices (inverses are never formed).
+double cumulative integral:
+
+    A = R_x D_x^{-1} K_alpha (E_x (x) E_y) (D_x (x) D_y)
+    B = R_y D_y^{-1} K_beta (E_x (x) E_y) (D_x (x) D_y)
+    M = (D_x (x) D_y)^{-1} diag(mu) (D_x (x) D_y)
+
+K_alpha (n rows) and K_beta (m rows) hold the kernel-weighted tensor
+Clenshaw-Curtis cubature at the inner nodes of their axis, E_x and E_y
+interpolate from the inner nodes to the cubature nodes, and
+R_x = I_n (x) 1_m and R_y = 1_n (x) I_m replicate the rows.  No nm x nm
+Kronecker factor is formed: products with E_x (x) E_y and D_x (x) D_y act
+per axis on the (n, m) tensor of a row, and
+(D_x (x) D_y)^{-1} = D_x^{-1} (x) D_y^{-1} turns the mortality solve into
+one solve per axis.  Cumulative integrals are factorization solves with
+the trimmed matrices (inverses are never formed).
 
 The 1-D matrix is -D + 1*(w^T E D) - D^{-1} diag(mu) D, with the
 rank-one term realizing the scalar renewal integral of the derivative.
+
+Coefficient samples that are undefined (log or sqrt outside their domain)
+or not finite raise :class:`InvalidSample`, naming the coefficient and the
+first such sample point.
 """
 
 from __future__ import annotations
@@ -24,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import DomainError
 from .grid import ChebGrid, DiffOps, cheb_grid, diff_ops, interp_matrix
 from .linalg import lu_solve
-from .model import Model1D, Model2D, NonpositiveVelocity
+from .model import InvalidSample, Model1D, Model2D, NonpositiveVelocity
 from .quad import cc_weights
 
 
@@ -103,45 +120,59 @@ class GeneratorMatrix:
         return flat // m + 1, flat % m + 1
 
 
-def _mixed_derivative_kron(grids: CollocationGrids) -> np.ndarray:
-    """kron(D_x, D_y): maps inner values of psi to inner values of its
-    mixed derivative."""
-    return np.kron(grids.dx.trimmed, grids.dy.trimmed)
+def _samples(coef, name: str, *points) -> np.ndarray:
+    """coef on the broadcast grid of the point arrays; raises InvalidSample
+    where it is undefined or not finite."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in points))
+    try:
+        values = np.broadcast_to(np.asarray(coef(*points), dtype=float), shape)
+        bad = ~np.isfinite(values)
+        reason = "is not finite"
+    except DomainError as exc:
+        bad = np.broadcast_to(exc.where, shape)
+        reason = f"is undefined ({exc})"
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), shape)
+        at = ", ".join(
+            f"{var} = {np.broadcast_to(p, shape)[first]:.17g}"
+            for var, p in zip(coef.variables, points)
+        )
+        raise InvalidSample(f"{name} {reason} at {at}")
+    return values
 
 
 def assemble_mortality(model: Model2D, grids: CollocationGrids) -> np.ndarray:
     """The mortality block: double cumulative integral of mu times the
     mixed derivative.
 
-    Realized as Dx^{-1} Dy^{-1} diag(mu) Dx Dy on the inner tensor grid.
-    A constant mu short-circuits to mu * I, which is the exact value of
-    the block in that case.
+    Realized as Dx^{-1} Dy^{-1} diag(mu) Dx Dy on the inner tensor grid,
+    with one solve along each axis of the (n, m, n, m) tensor.  A constant
+    mu short-circuits to mu * I, which is the exact value of the block in
+    that case.
     """
     n, m = grids.n, grids.m
+    mu = _samples(model.mu, "mu", grids.theta_x[:, None], grids.theta_y[None, :])
     if model.mu.is_constant:
-        return float(model.mu(0.0, 0.0)) * np.eye(n * m)
-    mu_vals = np.broadcast_to(
-        np.asarray(
-            model.mu(grids.theta_x[:, None], grids.theta_y[None, :]), dtype=float
-        ),
-        (n, m),
-    ).reshape(n * m)
-    kron_d = _mixed_derivative_kron(grids)
-    return lu_solve(kron_d, mu_vals[:, None] * kron_d)
+        return float(mu[0, 0]) * np.eye(n * m)
+    dx, dy = grids.dx.trimmed, grids.dy.trimmed
+    # diag(mu) (Dx (x) Dy) as t[i, j, i', j'], then Dx^{-1} along i, Dy^{-1} along j
+    t = (mu[:, :, None, None] * dx[:, None, :, None]) * dy[None, :, None, :]
+    t = lu_solve(dx, t.reshape(n, -1))  # [i, (j, i', j')]
+    t = lu_solve(dy, t.T.reshape(m, -1))  # [j, (i', j', i)]
+    return t.T.reshape(n, m, n, m).transpose(2, 3, 0, 1).reshape(n * m, n * m)
 
 
-def _kernel_cubature_rows(coef, points, x_rule, y_rule) -> np.ndarray:
-    """Rows of kernel-weighted cubature: row k maps samples of f on the
-    cubature tensor grid to the integral of coef(points[k], ., .) * f."""
-    kern = coef(
+def _kernel_cubature(coef, name, points, x_rule, y_rule) -> np.ndarray:
+    """Kernel-weighted cubature: slice k maps samples of f on the cubature
+    tensor grid to the integral of coef(points[k], ., .) * f."""
+    kern = _samples(
+        coef,
+        name,
         points[:, None, None],
         x_rule.nodes[None, :, None],
         y_rule.nodes[None, None, :],
     )
-    weighted = np.asarray(kern, dtype=float) * np.outer(x_rule.weights, y_rule.weights)
-    return np.broadcast_to(
-        weighted, (points.size, x_rule.nodes.size, y_rule.nodes.size)
-    ).reshape(points.size, -1)
+    return kern * np.outer(x_rule.weights, y_rule.weights)
 
 
 def assemble_boundary(
@@ -149,14 +180,14 @@ def assemble_boundary(
     grids: CollocationGrids,
     axis: str,
     oversample: int = 2,
-    _kron_d: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boundary-kernel block for the given axis ("x" uses alpha, "y" beta).
 
     Pipeline: interpolate the mixed derivative of the interpolant from the
     inner tensor grid to the cubature grid, apply the kernel-weighted
     cubature at each inner node of the axis, then take the cumulative
-    integral along the axis.  The result is constant across the other
+    integral along the axis.  Each step acts on the (n, m) tensor of a
+    row, one axis at a time.  The result is constant across the other
     index, so rows replicate.
     """
     if axis not in ("x", "y"):
@@ -169,25 +200,23 @@ def assemble_boundary(
     y_rule = cc_weights(cheb_grid(dom.y0, dom.y_bar, oversample * m))
     ex = interp_matrix(grids.theta_x, x_rule.nodes)
     ey = interp_matrix(grids.theta_y, y_rule.nodes)
-    if _kron_d is None:
-        _kron_d = _mixed_derivative_kron(grids)
     if axis == "x":
-        rows = _kernel_cubature_rows(model.alpha, grids.theta_x, x_rule, y_rule)
+        rows = _kernel_cubature(model.alpha, "alpha", grids.theta_x, x_rule, y_rule)
         trimmed = grids.dx.trimmed
     else:
-        rows = _kernel_cubature_rows(model.beta, grids.theta_y, x_rule, y_rule)
+        rows = _kernel_cubature(model.beta, "beta", grids.theta_y, x_rule, y_rule)
         trimmed = grids.dy.trimmed
-    # rows @ kron(ex, ey) without forming the large Kronecker factor
-    rows3 = rows.reshape(rows.shape[0], x_rule.nodes.size, y_rule.nodes.size)
-    collocated = np.einsum("kpq,pi,qj->kij", rows3, ex, ey).reshape(rows.shape[0], n * m)
-    cumulative = lu_solve(trimmed, collocated @ _kron_d)
+    # rows @ kron(ex, ey) @ kron(Dx, Dy), one axis at a time
+    collocated = ex.T @ rows @ ey
+    mixed = grids.dx.trimmed.T @ collocated @ grids.dy.trimmed
+    cumulative = lu_solve(trimmed, mixed.reshape(rows.shape[0], n * m))
     if axis == "x":
         return np.repeat(cumulative, m, axis=0)
     return np.tile(cumulative, (n, 1))
 
 
 def _velocity_samples(coef, nodes, name: str) -> np.ndarray:
-    values = np.broadcast_to(np.asarray(coef(nodes), dtype=float), nodes.shape)
+    values = _samples(coef, name, nodes)
     if np.any(values <= 0):
         raise NonpositiveVelocity(f"{name} must be strictly positive at the nodes")
     return values
@@ -202,23 +231,22 @@ def assemble_2d(
     if n < 1 or m < 1:
         raise ValueError("degrees must be at least 1")
     grids = collocation_grids(model, n, m)
-    gx_all = _velocity_samples(model.gx, grids.x.nodes, "gx")
-    gy_all = _velocity_samples(model.gy, grids.y.nodes, "gy")
-    kron_d = _mixed_derivative_kron(grids)
-    a_block = assemble_boundary(model, grids, "x", oversample, _kron_d=kron_d)
-    b_block = assemble_boundary(model, grids, "y", oversample, _kron_d=kron_d)
+    gx = _velocity_samples(model.gx, grids.x.nodes, "gx")[1:]
+    gy = _velocity_samples(model.gy, grids.y.nodes, "gy")[1:]
+    a_block = assemble_boundary(model, grids, "x", oversample)
+    b_block = assemble_boundary(model, grids, "y", oversample)
     m_block = assemble_mortality(model, grids)
-    dx_big = np.kron(grids.dx.trimmed, np.eye(m))
-    dy_big = np.kron(np.eye(n), grids.dy.trimmed)
-    gx_flat = np.repeat(gx_all[1:], m)
-    gy_flat = np.tile(gy_all[1:], n)
-    matrix = (
-        -(gx_flat[:, None] * dx_big)
-        - (gy_flat[:, None] * dy_big)
-        + a_block
-        + b_block
-        - m_block
-    )
+    matrix = np.zeros((n * m, n * m))
+    # the lifts -Gx (Dx (x) I) and -Gy (I (x) Dy), written into the
+    # [i, j, i', j'] view: blocks on j = j' and on i = i'
+    lifted = matrix.reshape(n, m, n, m)
+    j = np.arange(m)
+    lifted[:, j, :, j] = -(gx[:, None] * grids.dx.trimmed)
+    i = np.arange(n)
+    lifted[i, :, i, :] -= gy[:, None] * grids.dy.trimmed
+    matrix += a_block
+    matrix += b_block
+    matrix -= m_block
     return GeneratorMatrix(matrix, grids, a_block, b_block, m_block)
 
 
@@ -232,17 +260,13 @@ def assemble_1d(model: Model1D, n: int, oversample: int = 2) -> GeneratorMatrix:
     trimmed = ops.trimmed
     rule = cc_weights(cheb_grid(model.x0, model.x_bar, oversample * n))
     e = interp_matrix(g.nodes[1:], rule.nodes)
-    beta_w = rule.weights * np.broadcast_to(
-        np.asarray(model.beta(rule.nodes), dtype=float), rule.nodes.shape
-    )
+    beta_w = rule.weights * _samples(model.beta, "beta", rule.nodes)
     renewal_row = beta_w @ e @ trimmed
     b_block = np.tile(renewal_row, (n, 1))
+    mu = _samples(model.mu, "mu", g.nodes[1:])
     if model.mu.is_constant:
-        m_block = float(model.mu(0.0)) * np.eye(n)
+        m_block = float(mu[0]) * np.eye(n)
     else:
-        mu_vals = np.broadcast_to(
-            np.asarray(model.mu(g.nodes[1:]), dtype=float), (n,)
-        )
-        m_block = lu_solve(trimmed, mu_vals[:, None] * trimmed)
+        m_block = lu_solve(trimmed, mu[:, None] * trimmed)
     matrix = -trimmed + b_block - m_block
     return GeneratorMatrix(matrix, grids, None, b_block, m_block)

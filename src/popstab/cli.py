@@ -24,6 +24,7 @@ from .linalg import NoConvergence, SingularMatrix
 from .model import (
     BUILTIN_NAMES,
     ConfigSyntax,
+    InvalidSample,
     MissingKey,
     NonpositiveVelocity,
     UnknownExample,
@@ -41,6 +42,7 @@ CONFIG_ERRORS = (
     ExprSyntaxError,
     InvalidInterval,
     DuplicateNodes,
+    InvalidSample,
     spectra.MissingReference,
     OSError,
 )
@@ -322,9 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Integer options that must be at least 1 (dest names; absent ones are None).
+POSITIVE_INTS = ("n", "m", "k", "oversample", "n_min", "n_max", "n_step")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest in POSITIVE_INTS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            flag = "--" + dest.replace("_", "-")
+            print(f"popstab: configuration error: {flag} must be a positive "
+                  f"integer, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CONFIG_ERRORS as exc:

@@ -45,7 +45,12 @@ class UnknownConstant(ExprSyntaxError):
 
 
 class DomainError(ValueError):
-    """log/sqrt evaluated outside their real domain."""
+    """log/sqrt evaluated outside their real domain; ``where`` marks the
+    offending entries of the argument."""
+
+    def __init__(self, message: str, where=True):
+        super().__init__(message)
+        self.where = where
 
 
 class UnboundVariable(ValueError):
@@ -242,9 +247,9 @@ def free_vars(ast: Expr) -> frozenset[str]:
 def _check_domain(func, value):
     arr = np.asarray(value)
     if func == "sqrt" and np.any(arr < 0):
-        raise DomainError("sqrt of negative argument")
+        raise DomainError("sqrt of negative argument", arr < 0)
     if func == "log" and np.any(arr <= 0):
-        raise DomainError("log of nonpositive argument")
+        raise DomainError("log of nonpositive argument", arr <= 0)
 
 
 def _eval(ast: Expr, ctx) -> object:

@@ -45,6 +45,10 @@ class NonpositiveVelocity(ValueError):
     pass
 
 
+class InvalidSample(ValueError):
+    """A coefficient is undefined or not finite at a point it is sampled at."""
+
+
 @dataclass(frozen=True)
 class Rectangle:
     x0: float

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import CollocationGrids, GeneratorMatrix, assemble_1d, assemble_2d
 from .grid import cheb_grid, interp_matrix
-from .linalg import NoConvergence, SingularMatrix, eigen_dense, norm_inf
+from .linalg import Eigenvectors, NoConvergence, SingularMatrix, eigenvalues, norm_inf
 from .model import Model1D, Model2D, NonpositiveVelocity, ReferenceEigenpair
 from .quad import CCRule, TensorCubature, cc_weights, tensor_rule
 
@@ -44,20 +45,39 @@ class EigenReport:
     """Spectrum of a generator, optionally matched against a reference.
 
     Eigenvalues are sorted by descending real part (ties by descending
-    imaginary part); ``vectors`` holds the eigenvectors of the first k.
-    The matching fields are filled by :func:`eigen_errors`.
+    imaginary part).  Eigenvectors are not stored: :meth:`vector` computes
+    the one of a given eigenvalue on first read, and ``vectors`` holds
+    those of the first k.  The matching fields are filled by
+    :func:`eigen_errors`.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     abscissa: float
     generator: GeneratorMatrix
+    k: int
     matched: complex | None = None
     matched_vector: np.ndarray | None = None
     eps_lambda: float | None = None
     eps_phi: float | None = None
     phi_samples: np.ndarray | None = None
-    _all_vectors: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def matrix_norm(self) -> float:
+        """||generator.matrix||inf."""
+        return norm_inf(self.generator.matrix)
+
+    @cached_property
+    def _eigenvectors(self) -> Eigenvectors:
+        return Eigenvectors(self.generator.matrix, self.eigenvalues, self.matrix_norm)
+
+    def vector(self, index: int) -> np.ndarray:
+        """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical phase."""
+        return self._eigenvectors[index]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors of the k rightmost eigenvalues, as columns."""
+        return np.column_stack([self.vector(j) for j in range(self.k)])
 
 
 @dataclass(frozen=True)
@@ -76,19 +96,20 @@ class ConvergenceRecord:
 
 
 def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
-    """All eigenvalues of the generator, eigenvectors for the k rightmost."""
+    """All eigenvalues of the generator, sorted rightmost first.
+
+    Only eigenvalues are computed here; an eigenvector is computed when it
+    is read from the report (``k`` sets which ones ``vectors`` holds).
+    """
     if k < 1 or k > generator.dim:
         raise ValueError(f"k must be in 1..{generator.dim}")
-    dec = eigen_dense(generator.matrix)
-    order = np.lexsort((-dec.values.imag, -dec.values.real))
-    values = dec.values[order]
-    vectors = dec.vectors[:, order]
+    values = eigenvalues(generator.matrix)
+    values = values[np.lexsort((-values.imag, -values.real))]
     return EigenReport(
         eigenvalues=values,
-        vectors=vectors[:, :k],
         abscissa=float(values[0].real),
         generator=generator,
-        _all_vectors=vectors,
+        k=k,
     )
 
 
@@ -155,10 +176,7 @@ def eigen_errors(
         rule = default_error_rule(generator)
     idx = _match_reference(report, ref.lam)
     lam_hat = complex(report.eigenvalues[idx])
-    source = report._all_vectors if report._all_vectors is not None else report.vectors
-    if idx >= source.shape[1]:
-        raise ValueError("matched eigenvalue has no stored eigenvector")
-    psi = source[:, idx]
+    psi = report.vector(idx)
     eps_lambda = float(abs(lam_hat - ref.lam))
     report.matched = lam_hat
     report.matched_vector = psi
@@ -246,7 +264,7 @@ def convergence_sweep(
                     eps_phi=eps_phi,
                     lam=report.matched,
                     abscissa=report.abscissa,
-                    matrix_norm=norm_inf(generator.matrix),
+                    matrix_norm=report.matrix_norm,
                     seconds=time.perf_counter() - start,
                 )
             )

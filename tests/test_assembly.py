@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from popstab.assembly import (
     assemble_mortality,
     collocation_grids,
 )
-from popstab.grid import cheb_grid, diff_ops
-from popstab.model import NonpositiveVelocity, builtin, load_model
+from popstab.grid import cheb_grid, diff_ops, interp_matrix
+from popstab.model import BUILTIN_NAMES, NonpositiveVelocity, builtin, load_model
+from popstab.quad import cc_weights
 from popstab.spectra import compute_spectrum
 
 ZERO_2D = """
@@ -200,3 +203,64 @@ def test_generator_matrix_is_finite():
         model, _ = builtin(name)
         gen = assemble_2d(model, 6, 6)
         assert np.all(np.isfinite(gen.matrix))
+
+
+def _kron_reference(model, n, m, oversample=2):
+    """The generator and its mortality block, built with explicit nm x nm
+    Kronecker factors from the formula in the assembly module docstring."""
+    grids = collocation_grids(model, n, m)
+    dx, dy = grids.dx.trimmed, grids.dy.trimmed
+    tx, ty = grids.theta_x, grids.theta_y
+    dom = model.domain
+    x_rule = cc_weights(cheb_grid(dom.x0, dom.x_bar, oversample * n))
+    y_rule = cc_weights(cheb_grid(dom.y0, dom.y_bar, oversample * m))
+    xi, sigma = x_rule.nodes, y_rule.nodes
+    interp = np.kron(interp_matrix(tx, xi), interp_matrix(ty, sigma))
+    mixed = np.kron(dx, dy)
+    w = np.outer(x_rule.weights, y_rule.weights).ravel()
+
+    def rows(coef, points):
+        kern = coef(points[:, None, None], xi[None, :, None], sigma[None, None, :])
+        kern = np.broadcast_to(kern, (points.size, xi.size, sigma.size))
+        return kern.reshape(points.size, -1) * w
+
+    a_rows = np.linalg.solve(dx, rows(model.alpha, tx) @ interp @ mixed)
+    b_rows = np.linalg.solve(dy, rows(model.beta, ty) @ interp @ mixed)
+    a_block = np.kron(a_rows, np.ones((m, 1)))
+    b_block = np.kron(np.ones((n, 1)), b_rows)
+    mu = np.broadcast_to(model.mu(tx[:, None], ty[None, :]), (n, m)).ravel()
+    m_block = np.linalg.solve(mixed, mu[:, None] * mixed)
+    gx = np.broadcast_to(model.gx(tx), (n,))
+    gy = np.broadcast_to(model.gy(ty), (m,))
+    lift_x = np.kron(gx[:, None] * dx, np.eye(m))
+    lift_y = np.kron(np.eye(n), gy[:, None] * dy)
+    return -lift_x - lift_y + a_block + b_block - m_block, m_block
+
+
+@pytest.mark.parametrize("n, m", [(7, 5), (10, 10)])
+def test_per_axis_assembly_matches_kronecker_reference(n, m):
+    for name in BUILTIN_NAMES:
+        model, _ = builtin(name)
+        if model.dimension != 2:
+            continue
+        gen = assemble_2d(model, n, m)
+        matrix, m_block = _kron_reference(model, n, m)
+        tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
+        assert np.max(np.abs(gen.matrix - matrix)) <= tol, name
+        assert np.max(np.abs(gen.m_block - m_block)) <= tol, name
+
+
+@pytest.mark.parametrize("name", ["ex2_1", "ex1_4"])
+def test_assembly_peak_memory(name):
+    # the generator keeps four dense nm x nm arrays (matrix and the A, B, M
+    # blocks); assembly may hold at most two more at its peak
+    model, _ = builtin(name)
+    n = m = 24
+    assemble_2d(model, 4, 4)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        assemble_2d(model, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (n * m) ** 2 * 8

@@ -161,3 +161,45 @@ def test_model_file_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "spectrum", "--model", str(path), "--n", "4")
     assert code == 0
     assert "verdict: Stable" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--model", "builtin:ex1_1", "--n", "0"),
+        ("spectrum", "--model", "builtin:ex1_1", "--n", "3", "--m", "-2"),
+        ("spectrum", "--model", "builtin:ex1_1", "--n", "3", "--k", "0"),
+        ("spectrum", "--model", "builtin:ex1_1", "--n", "3", "--oversample", "0"),
+        ("converge", "--model", "builtin:ex1_1", "--n-min", "0", "--n-max", "3"),
+        ("converge", "--model", "builtin:ex1_1", "--n-min", "1", "--n-max", "-1"),
+        ("converge", "--model", "builtin:ex1_1", "--n-min", "1", "--n-max", "3",
+         "--n-step", "0"),
+    ],
+    ids=["n", "m", "k", "oversample", "n-min", "n-max", "n-step"],
+)
+def test_nonpositive_integer_arguments_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "must be a positive integer" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "text, expected, point",
+    [
+        ('x_min = 0\nx_max = 1\nmu = "1"\nbeta = "log(x)"\n', "beta is undefined", "at x = 0"),
+        (EX11_CONFIG.replace('alpha = "1"', 'alpha = "1/xi"'), "alpha is not finite", "xi = 0,"),
+    ],
+    ids=["log-domain", "non-finite-kernel"],
+)
+def test_bad_coefficient_samples_exit_two(tmp_path, capsys, text, expected, point):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "spectrum", "--model", str(path), "--n", "4")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert expected in lines[0]
+    assert point in lines[0]

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from popstab.assembly import CollocationGrids, GeneratorMatrix, assemble_2d, collocation_grids
+from popstab.assembly import (
+    CollocationGrids,
+    GeneratorMatrix,
+    assemble_1d,
+    assemble_2d,
+    collocation_grids,
+)
 from popstab.grid import cheb_grid, diff_ops
-from popstab.linalg import norm_inf
-from popstab.model import ReferenceEigenpair, builtin, coefficient, load_model
+from popstab.linalg import eigen_dense, norm_inf
+from popstab.model import BUILTIN_NAMES, ReferenceEigenpair, builtin, coefficient, load_model
 from popstab.quad import tensor_rule
 from popstab.spectra import (
     ConvergenceRecord,
@@ -241,3 +247,44 @@ def test_error_rule_uses_doubled_degree():
     rule = default_error_rule(gen)
     assert rule.x_rule.grid.n == 12
     assert rule.y_rule.grid.n == 8
+
+
+def _assert_residual_bound(matrix, lam, psi):
+    # the bound of test_matched_residual_invariant
+    residual = norm_inf(matrix @ psi - lam * psi)
+    assert residual <= 1e-8 * norm_inf(matrix) * norm_inf(psi)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_on_demand_eigenpairs_match_full_decomposition(name, n):
+    model, _ = builtin(name)
+    gen = assemble_2d(model, n, n) if model.dimension == 2 else assemble_1d(model, n)
+    k = min(10, gen.dim)
+    report = compute_spectrum(gen, k=k)
+    dec = eigen_dense(gen.matrix)
+    oracle = dec.values[np.lexsort((-dec.values.imag, -dec.values.real))][:k]
+    got = report.eigenvalues[:k]
+    assert np.all(np.abs(got - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+    for lam, psi in zip(got, report.vectors.T):
+        _assert_residual_bound(gen.matrix, lam, psi)
+
+
+def test_repeated_eigenvalue_gets_independent_vectors():
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    for m in (np.diag([3.0, 3.0, -1.0]), q @ np.diag([3.0, 3.0, -1.0]) @ q.T):
+        report = compute_spectrum(_wrap_matrix(m), k=3)
+        assert np.allclose(report.eigenvalues[:2], 3.0, atol=1e-13)
+        pair = report.vectors[:, :2]
+        assert np.linalg.svd(pair, compute_uv=False)[-1] >= 0.5
+        for lam, psi in zip(report.eigenvalues, report.vectors.T):
+            _assert_residual_bound(m, lam, psi)
+
+
+def test_conjugate_pair_gets_conjugate_vectors():
+    m = np.array([[-0.5, 0.2, 0.3], [-0.2, -0.5, 0.0], [0.0, 0.0, -1.0]])
+    report = compute_spectrum(_wrap_matrix(m), k=3)
+    assert report.eigenvalues[0] == np.conj(report.eigenvalues[1])
+    assert np.array_equal(report.vector(1), np.conj(report.vector(0)))
+    for lam, psi in zip(report.eigenvalues, report.vectors.T):
+        _assert_residual_bound(m, lam, psi)
