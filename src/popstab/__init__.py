@@ -6,35 +6,10 @@ collocation on Chebyshev extremal points; its spectrum determines the
 stability of the zero equilibrium.
 """
 
-from .assembly import (
-    CollocationGrids,
-    GeneratorMatrix,
-    assemble_1d,
-    assemble_2d,
-    assemble_boundary,
-    assemble_mortality,
-    collocation_grids,
-)
-from .expr import eval_expr, free_vars, parse_expr, to_source
-from .grid import ChebGrid, DiffOps, cheb_grid, diff_ops, interp_matrix
-from .linalg import EigenDecomposition, eigen_dense, kron, lu_solve
-from .model import (
-    BUILTIN_NAMES,
-    Model1D,
-    Model2D,
-    Rectangle,
-    ReferenceEigenpair,
-    builtin,
-    load_model,
-    to_config,
-    validate_model,
-)
-from .quad import CCRule, TensorCubature, cc_weights, cubature_rect, cumulative_integrals
+from .assembly import GeneratorMatrix, assemble, assemble_1d, assemble_2d
+from .model import BUILTIN_NAMES, builtin, load_model
 from .spectra import (
-    ConvergenceRecord,
-    EigenReport,
     Verdict,
-    analyze,
     compute_spectrum,
     convergence_sweep,
     eigen_errors,
@@ -47,47 +22,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "CCRule",
-    "ChebGrid",
-    "CollocationGrids",
-    "ConvergenceRecord",
-    "DiffOps",
-    "EigenDecomposition",
-    "EigenReport",
     "GeneratorMatrix",
-    "Model1D",
-    "Model2D",
-    "Rectangle",
-    "ReferenceEigenpair",
-    "TensorCubature",
     "Verdict",
-    "analyze",
+    "assemble",
     "assemble_1d",
     "assemble_2d",
-    "assemble_boundary",
-    "assemble_mortality",
     "builtin",
-    "cc_weights",
-    "cheb_grid",
-    "collocation_grids",
     "compute_spectrum",
     "convergence_sweep",
-    "cubature_rect",
-    "cumulative_integrals",
-    "diff_ops",
-    "eigen_dense",
     "eigen_errors",
-    "eval_expr",
     "fit_order",
-    "free_vars",
-    "interp_matrix",
-    "kron",
     "load_model",
-    "lu_solve",
-    "parse_expr",
     "reconstruct_eigenfunction",
     "stability_verdict",
-    "to_config",
-    "to_source",
-    "validate_model",
 ]

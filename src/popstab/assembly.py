@@ -1,8 +1,10 @@
 """Assembly of the discretized generator matrices.
 
+A model is collocated on one :class:`Axis` per structuring variable: the
+Chebyshev grid of the axis and its trimmed differentiation matrix D (the
+left-endpoint row and column carry zero boundary values and are dropped).
 For a 2-D model the matrix acts on values of the integrated state at the
-inner tensor grid (the left-endpoint row and column of each axis carry
-zero boundary values and are dropped):
+inner tensor grid:
 
     generator = -Gx.Dx - Gy.Dy + A + B - M
 
@@ -24,10 +26,13 @@ Kronecker factor is formed: products with E_x (x) E_y and D_x (x) D_y act
 per axis on the (n, m) tensor of a row, and
 (D_x (x) D_y)^{-1} = D_x^{-1} (x) D_y^{-1} turns the mortality solve into
 one solve per axis.  Cumulative integrals are factorization solves with
-the trimmed matrices (inverses are never formed).
+the trimmed matrices (inverses are never formed).  Each block is added to
+the matrix as soon as it is made, so the generator is the only nm x nm
+array that outlives assembly.
 
 The 1-D matrix is -D + 1*(w^T E D) - D^{-1} diag(mu) D, with the
-rank-one term realizing the scalar renewal integral of the derivative.
+rank-one term realizing the scalar renewal integral of the derivative;
+its mortality block is the one-axis case of the 2-D one.
 
 Coefficient samples that are undefined (log or sqrt outside their domain)
 or not finite raise :class:`InvalidSample`, naming the coefficient and the
@@ -41,83 +46,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError
-from .grid import ChebGrid, DiffOps, cheb_grid, diff_ops, interp_matrix
+from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
 from .linalg import lu_solve
 from .model import InvalidSample, Model1D, Model2D, NonpositiveVelocity
 from .quad import cc_weights
 
 
 @dataclass(frozen=True)
-class CollocationGrids:
-    """Per-axis grids with differentiation operators; y is None in 1-D."""
+class Axis:
+    """One collocation axis: its Chebyshev grid and trimmed D."""
 
-    x: ChebGrid
-    dx: DiffOps
-    y: ChebGrid | None = None
-    dy: DiffOps | None = None
+    grid: ChebGrid
+    d: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.x.n
+        return self.grid.n
 
     @property
-    def m(self) -> int | None:
-        return None if self.y is None else self.y.n
-
-    @property
-    def theta_x(self) -> np.ndarray:
-        """Inner x nodes x_1 < ... < x_n = x_bar (x_0 excluded)."""
-        return self.x.nodes[1:]
-
-    @property
-    def theta_y(self) -> np.ndarray:
-        return self.y.nodes[1:]
+    def theta(self) -> np.ndarray:
+        """Inner nodes x_1 < ... < x_n = b (x_0 excluded)."""
+        return self.grid.nodes[1:]
 
 
-def collocation_grids(model: Model2D, n: int, m: int) -> CollocationGrids:
+def collocation_axis(a: float, b: float, n: int) -> Axis:
+    """The degree-n axis on [a, b]."""
+    grid = cheb_grid(a, b, n)
+    return Axis(grid, diff_ops(grid).trimmed)
+
+
+def collocation_grids(model: Model2D, n: int, m: int) -> tuple[Axis, Axis]:
+    """The x axis of degree n and the y axis of degree m of a 2-D model."""
     dom = model.domain
-    gx = cheb_grid(dom.x0, dom.x_bar, n)
-    gy = cheb_grid(dom.y0, dom.y_bar, m)
-    return CollocationGrids(gx, diff_ops(gx), gy, diff_ops(gy))
+    return collocation_axis(dom.x0, dom.x_bar, n), collocation_axis(dom.y0, dom.y_bar, m)
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Discretized generator with its grids and constituent blocks.
+    """Discretized generator with its axes (x in 1-D; x and y in 2-D).
 
-    Entries are indexed by inner-node pairs (i, j) in lexicographic order;
-    ``flat_index`` maps 1-based (i, j) to the 0-based row position.
+    Entries are indexed by tuples of inner-node indices, one per axis, in
+    lexicographic order.
     """
 
     matrix: np.ndarray
-    grids: CollocationGrids
-    a_block: np.ndarray | None
-    b_block: np.ndarray | None
-    m_block: np.ndarray | None
+    axes: tuple[Axis, ...]
 
     @property
     def n(self) -> int:
-        return self.grids.n
+        return self.axes[0].n
 
     @property
     def m(self) -> int | None:
-        return self.grids.m
+        return self.axes[1].n if len(self.axes) > 1 else None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def flat_index(self, i: int, j: int) -> int:
-        m = self.grids.m
-        if not (1 <= i <= self.n and 1 <= j <= m):
-            raise IndexError(f"(i, j) = ({i}, {j}) outside 1..{self.n} x 1..{m}")
-        return (i - 1) * m + (j - 1)
-
-    def pair_index(self, flat: int) -> tuple[int, int]:
-        m = self.grids.m
-        if not 0 <= flat < self.dim:
-            raise IndexError(f"flat index {flat} outside 0..{self.dim - 1}")
-        return flat // m + 1, flat % m + 1
 
 
 def _samples(coef, name: str, *points) -> np.ndarray:
@@ -141,25 +126,30 @@ def _samples(coef, name: str, *points) -> np.ndarray:
     return values
 
 
-def assemble_mortality(model: Model2D, grids: CollocationGrids) -> np.ndarray:
-    """The mortality block: double cumulative integral of mu times the
-    mixed derivative.
+def assemble_mortality(model: Model1D | Model2D, axes: tuple[Axis, ...]) -> np.ndarray:
+    """The mortality block: cumulative integral, along every axis, of mu
+    times the derivative along every axis.
 
-    Realized as Dx^{-1} Dy^{-1} diag(mu) Dx Dy on the inner tensor grid,
-    with one solve along each axis of the (n, m, n, m) tensor.  A constant
-    mu short-circuits to mu * I, which is the exact value of the block in
-    that case.
+    Realized as D^{-1} diag(mu) D on the inner grid, with D = D_x (x) D_y
+    in 2-D and D = D_x in 1-D, by one solve along each axis of the
+    [i, ..., i', ...] tensor.  A constant mu short-circuits to mu * I,
+    which is the exact value of the block in that case.
     """
-    n, m = grids.n, grids.m
-    mu = _samples(model.mu, "mu", grids.theta_x[:, None], grids.theta_y[None, :])
+    mu = _samples(model.mu, "mu", *np.ix_(*(ax.theta for ax in axes)))
     if model.mu.is_constant:
-        return float(mu[0, 0]) * np.eye(n * m)
-    dx, dy = grids.dx.trimmed, grids.dy.trimmed
-    # diag(mu) (Dx (x) Dy) as t[i, j, i', j'], then Dx^{-1} along i, Dy^{-1} along j
-    t = (mu[:, :, None, None] * dx[:, None, :, None]) * dy[None, :, None, :]
-    t = lu_solve(dx, t.reshape(n, -1))  # [i, (j, i', j')]
-    t = lu_solve(dy, t.T.reshape(m, -1))  # [j, (i', j', i)]
-    return t.T.reshape(n, m, n, m).transpose(2, 3, 0, 1).reshape(n * m, n * m)
+        return float(mu.flat[0]) * np.eye(mu.size)
+    k = len(axes)
+    # diag(mu) D as t[i, ..., i', ...]
+    t = mu.reshape(mu.shape + (1,) * k)
+    for j, ax in enumerate(axes):
+        shape = [1] * (2 * k)
+        shape[j] = shape[k + j] = ax.n
+        t = t * ax.d.reshape(shape)
+    # each solve acts on the leading index and moves it last, so after the
+    # last one t is [i', ..., i, ...]
+    for ax in axes:
+        t = lu_solve(ax.d, t.reshape(ax.n, -1)).T
+    return t.reshape(mu.size, mu.size).T
 
 
 def _kernel_cubature(coef, name, points, x_rule, y_rule) -> np.ndarray:
@@ -177,7 +167,7 @@ def _kernel_cubature(coef, name, points, x_rule, y_rule) -> np.ndarray:
 
 def assemble_boundary(
     model: Model2D,
-    grids: CollocationGrids,
+    axes: tuple[Axis, Axis],
     axis: str,
     oversample: int = 2,
 ) -> np.ndarray:
@@ -194,21 +184,22 @@ def assemble_boundary(
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
-    n, m = grids.n, grids.m
-    dom = model.domain
-    x_rule = cc_weights(cheb_grid(dom.x0, dom.x_bar, oversample * n))
-    y_rule = cc_weights(cheb_grid(dom.y0, dom.y_bar, oversample * m))
-    ex = interp_matrix(grids.theta_x, x_rule.nodes)
-    ey = interp_matrix(grids.theta_y, y_rule.nodes)
+    ax, ay = axes
+    n, m = ax.n, ay.n
+    x_rule, y_rule = (
+        cc_weights(cheb_grid(g.a, g.b, oversample * g.n)) for g in (ax.grid, ay.grid)
+    )
+    ex = interp_matrix(ax.theta, x_rule.nodes)
+    ey = interp_matrix(ay.theta, y_rule.nodes)
     if axis == "x":
-        rows = _kernel_cubature(model.alpha, "alpha", grids.theta_x, x_rule, y_rule)
-        trimmed = grids.dx.trimmed
+        rows = _kernel_cubature(model.alpha, "alpha", ax.theta, x_rule, y_rule)
+        trimmed = ax.d
     else:
-        rows = _kernel_cubature(model.beta, "beta", grids.theta_y, x_rule, y_rule)
-        trimmed = grids.dy.trimmed
+        rows = _kernel_cubature(model.beta, "beta", ay.theta, x_rule, y_rule)
+        trimmed = ay.d
     # rows @ kron(ex, ey) @ kron(Dx, Dy), one axis at a time
     collocated = ex.T @ rows @ ey
-    mixed = grids.dx.trimmed.T @ collocated @ grids.dy.trimmed
+    mixed = ax.d.T @ collocated @ ay.d
     cumulative = lu_solve(trimmed, mixed.reshape(rows.shape[0], n * m))
     if axis == "x":
         return np.repeat(cumulative, m, axis=0)
@@ -230,43 +221,44 @@ def assemble_2d(
         m = n
     if n < 1 or m < 1:
         raise ValueError("degrees must be at least 1")
-    grids = collocation_grids(model, n, m)
-    gx = _velocity_samples(model.gx, grids.x.nodes, "gx")[1:]
-    gy = _velocity_samples(model.gy, grids.y.nodes, "gy")[1:]
-    a_block = assemble_boundary(model, grids, "x", oversample)
-    b_block = assemble_boundary(model, grids, "y", oversample)
-    m_block = assemble_mortality(model, grids)
+    axes = collocation_grids(model, n, m)
+    ax, ay = axes
+    gx = _velocity_samples(model.gx, ax.grid.nodes, "gx")[1:]
+    gy = _velocity_samples(model.gy, ay.grid.nodes, "gy")[1:]
     matrix = np.zeros((n * m, n * m))
     # the lifts -Gx (Dx (x) I) and -Gy (I (x) Dy), written into the
     # [i, j, i', j'] view: blocks on j = j' and on i = i'
     lifted = matrix.reshape(n, m, n, m)
     j = np.arange(m)
-    lifted[:, j, :, j] = -(gx[:, None] * grids.dx.trimmed)
+    lifted[:, j, :, j] = -(gx[:, None] * ax.d)
     i = np.arange(n)
-    lifted[i, :, i, :] -= gy[:, None] * grids.dy.trimmed
-    matrix += a_block
-    matrix += b_block
-    matrix -= m_block
-    return GeneratorMatrix(matrix, grids, a_block, b_block, m_block)
+    lifted[i, :, i, :] -= gy[:, None] * ay.d
+    matrix += assemble_boundary(model, axes, "x", oversample)
+    matrix += assemble_boundary(model, axes, "y", oversample)
+    matrix -= assemble_mortality(model, axes)
+    return GeneratorMatrix(matrix, axes)
 
 
 def assemble_1d(model: Model1D, n: int, oversample: int = 2) -> GeneratorMatrix:
     """Discretized generator of a 1-D model at degree n."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    g = cheb_grid(model.x0, model.x_bar, n)
-    ops = diff_ops(g)
-    grids = CollocationGrids(g, ops)
-    trimmed = ops.trimmed
+    axes = (collocation_axis(model.x0, model.x_bar, n),)
+    (ax,) = axes
     rule = cc_weights(cheb_grid(model.x0, model.x_bar, oversample * n))
-    e = interp_matrix(g.nodes[1:], rule.nodes)
+    e = interp_matrix(ax.theta, rule.nodes)
     beta_w = rule.weights * _samples(model.beta, "beta", rule.nodes)
-    renewal_row = beta_w @ e @ trimmed
-    b_block = np.tile(renewal_row, (n, 1))
-    mu = _samples(model.mu, "mu", g.nodes[1:])
-    if model.mu.is_constant:
-        m_block = float(mu[0]) * np.eye(n)
-    else:
-        m_block = lu_solve(trimmed, mu[:, None] * trimmed)
-    matrix = -trimmed + b_block - m_block
-    return GeneratorMatrix(matrix, grids, None, b_block, m_block)
+    renewal_row = beta_w @ e @ ax.d
+    matrix = -ax.d + np.tile(renewal_row, (n, 1))
+    matrix -= assemble_mortality(model, axes)
+    return GeneratorMatrix(matrix, axes)
+
+
+def assemble(
+    model: Model1D | Model2D, n: int, m: int | None = None, oversample: int = 2
+) -> GeneratorMatrix:
+    """Discretized generator of a model at degree n, and m (default n) in
+    2-D; m is ignored for a 1-D model."""
+    if model.dimension == 1:
+        return assemble_1d(model, n, oversample)
+    return assemble_2d(model, n, m, oversample)

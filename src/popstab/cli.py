@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import spectra
+from .assembly import assemble
 from .expr import ExprSyntaxError
 from .grid import DuplicateNodes, InvalidInterval
 from .linalg import NoConvergence, SingularMatrix
@@ -75,16 +76,12 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 def cmd_spectrum(args) -> int:
     model = _load(args.model)
-    if model.dimension == 2:
-        generator = spectra.assemble_2d(model, args.n, args.m or args.n, args.oversample)
-    else:
-        generator = spectra.assemble_1d(model, args.n, args.oversample)
+    generator = assemble(model, args.n, args.m, args.oversample)
     k = min(args.k, generator.dim)
     report = spectra.compute_spectrum(generator, k)
     verdict = spectra.stability_verdict(report.abscissa, args.tol)
-    print(f"model: {args.model}  (n = {args.n}, m = {args.m or args.n})"
-          if model.dimension == 2 else
-          f"model: {args.model}  (n = {args.n})")
+    degrees = ", ".join(f"{name} = {axis.n}" for name, axis in zip("nm", generator.axes))
+    print(f"model: {args.model}  ({degrees})")
     print(f"{k} rightmost eigenvalues (re, im):")
     for i in range(k):
         lam = report.eigenvalues[i]
@@ -328,16 +325,29 @@ def build_parser() -> argparse.ArgumentParser:
 POSITIVE_INTS = ("n", "m", "k", "oversample", "n_min", "n_max", "n_step")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _option_error(args) -> str | None:
+    """Why an option value is out of range, or None when all are in range."""
     for dest in POSITIVE_INTS:
         value = getattr(args, dest, None)
         if value is not None and value < 1:
             flag = "--" + dest.replace("_", "-")
-            print(f"popstab: configuration error: {flag} must be a positive "
-                  f"integer, got {value}", file=sys.stderr)
-            return 2
+            return f"{flag} must be a positive integer, got {value}"
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol >= 0:
+        return f"--tol must be nonnegative, got {tol}"
+    n_min = getattr(args, "n_min", None)
+    if n_min is not None and n_min > args.n_max:
+        return f"--n-min must not exceed --n-max, got {n_min} > {args.n_max}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    problem = _option_error(args)
+    if problem is not None:
+        print(f"popstab: configuration error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CONFIG_ERRORS as exc:

@@ -1,11 +1,11 @@
 """Dense linear-algebra kernel used by the discretization.
 
 Thin contracts over LAPACK (via scipy): factorization-based solves with a
-relative pivot guard, Kronecker products, and the nonsymmetric dense
-eigensolver (balancing + Hessenberg reduction + QR, which is what *geev
-performs).  Eigenvalues can be computed alone, with each right eigenvector
-computed afterwards by inverse iteration when it is needed.  Matrices are
-plain float64 2-D numpy arrays.
+relative pivot guard and the nonsymmetric dense eigensolver (balancing +
+Hessenberg reduction + QR, which is what *geev performs).  Eigenvalues can
+be computed alone, with each right eigenvector computed afterwards by
+inverse iteration when it is needed.  Matrices are plain float64 2-D numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ class NoConvergence(ArithmeticError):
 
 
 def as_matrix(a) -> np.ndarray:
+    """``a`` as a float64 matrix; it must be square, nonempty and finite."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -49,8 +50,6 @@ def norm_inf(a) -> float:
 def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
     """LU with partial pivoting; raises SingularMatrix on a tiny pivot."""
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
     with warnings.catch_warnings():
         # exact singularity is reported through the pivot threshold below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -73,11 +72,6 @@ def lu_solve(a, b) -> np.ndarray:
     return scipy.linalg.lu_solve(factors, b, check_finite=False)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is A[i, j] * B."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues with index-paired right eigenvectors (as columns).
@@ -88,13 +82,6 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def _square(m) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    return m
 
 
 def _canonicalize(vectors: np.ndarray) -> np.ndarray:
@@ -111,7 +98,7 @@ def _canonicalize(vectors: np.ndarray) -> np.ndarray:
 
 def eigen_dense(m) -> EigenDecomposition:
     """All eigenvalues and right eigenvectors of a real square matrix."""
-    m = _square(m)
+    m = as_matrix(m)
     try:
         values, vectors = scipy.linalg.eig(m, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -124,7 +111,7 @@ def eigenvalues(m) -> np.ndarray:
 
     The same *geev driver as :func:`eigen_dense`, asked for no vectors.
     """
-    m = _square(m)
+    m = as_matrix(m)
     try:
         return scipy.linalg.eig(m, right=False, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

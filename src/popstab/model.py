@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr
-from .grid import cheb_grid
 from .quad import cubature_rect, tensor_rule
 
 
@@ -125,12 +124,6 @@ class Model1D:
     @property
     def dimension(self) -> int:
         return 1
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
 
 
 _ROLES_2D = {
@@ -399,39 +392,3 @@ def builtin(name: str):
         )
     model = registry[name]
     return model, model.reference
-
-
-def validate_model(model: Model2D | Model1D, n: int, m: int | None = None) -> list[Diagnostic]:
-    """Sample the coefficients on degree-(n, m) grids and collect warnings.
-
-    Negative mortality or kernel samples produce warning diagnostics;
-    a velocity that is not strictly positive at the nodes is a hard error.
-    """
-    diags: list[Diagnostic] = []
-    if model.dimension == 1:
-        xs = cheb_grid(model.x0, model.x_bar, n).nodes
-        if np.any(model.mu(xs) < 0):
-            diags.append(Diagnostic("NegativeMortality", "mu < 0 at some nodes"))
-        if np.any(model.beta(xs) < 0):
-            diags.append(Diagnostic("NegativeKernel", "beta < 0 at some nodes"))
-        return diags
-    if m is None:
-        m = n
-    dom = model.domain
-    xs = cheb_grid(dom.x0, dom.x_bar, n).nodes
-    ys = cheb_grid(dom.y0, dom.y_bar, m).nodes
-    if np.any(model.mu(xs[:, None], ys[None, :]) < 0):
-        diags.append(Diagnostic("NegativeMortality", "mu < 0 at some nodes"))
-    xi = xs[None, :, None]
-    sigma = ys[None, None, :]
-    if np.any(model.alpha(xs[:, None, None], xi, sigma) < 0):
-        diags.append(Diagnostic("NegativeKernel", "alpha < 0 at some nodes"))
-    if np.any(model.beta(ys[:, None, None], xi, sigma) < 0):
-        diags.append(Diagnostic("NegativeKernel", "beta < 0 at some nodes"))
-    for name, coef, nodes in (("gx", model.gx, xs), ("gy", model.gy, ys)):
-        values = np.broadcast_to(np.asarray(coef(nodes)), nodes.shape)
-        if np.any(values <= 0):
-            raise NonpositiveVelocity(f"{name} must be strictly positive on the domain")
-    return diags
-
-

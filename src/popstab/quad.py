@@ -1,10 +1,7 @@
-"""Clenshaw-Curtis quadrature, tensor cubature, and cumulative integrals.
+"""Clenshaw-Curtis quadrature and tensor cubature.
 
 Weights come from the explicit cosine-sum formula (no FFT needed at the
-degrees used here).  Cumulative (antiderivative) integrals are realized by
-solving with the trimmed differentiation matrix: given samples of f at the
-inner nodes, entry k of the solve approximates the integral of f from the
-left endpoint to node k.
+degrees used here).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ChebGrid, cheb_grid
-from .linalg import lu_solve
 
 
 class ShapeMismatch(ValueError):
@@ -101,18 +97,3 @@ def cubature_rect(rule: TensorCubature, values) -> float:
     if values.shape != expected:
         raise ShapeMismatch(f"expected {expected}, got {values.shape}")
     return float(rule.x_rule.weights @ values @ rule.y_rule.weights)
-
-
-def cumulative_integrals(trimmed, values) -> np.ndarray:
-    """Integrals from the left endpoint to each inner node.
-
-    ``trimmed`` is the trimmed differentiation matrix of the grid and
-    ``values`` holds the integrand at the inner nodes; the solve integrates
-    the interpolating polynomial of those samples.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != trimmed.shape[0]:
-        raise ShapeMismatch(
-            f"expected {trimmed.shape[0]} samples, got {values.shape[0]}"
-        )
-    return lu_solve(trimmed, values)

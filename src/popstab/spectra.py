@@ -10,17 +10,18 @@ sweeps over the degree with log-log order fitting.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .assembly import CollocationGrids, GeneratorMatrix, assemble_1d, assemble_2d
+from .assembly import Axis, GeneratorMatrix, assemble
 from .grid import cheb_grid, interp_matrix
 from .linalg import Eigenvectors, NoConvergence, SingularMatrix, eigenvalues, norm_inf
 from .model import Model1D, Model2D, NonpositiveVelocity, ReferenceEigenpair
-from .quad import CCRule, TensorCubature, cc_weights, tensor_rule
+from .quad import CCRule, cc_weights
 
 
 class MissingReference(ValueError):
@@ -113,39 +114,41 @@ def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
     )
 
 
-def reconstruct_eigenfunction(psi, grids: CollocationGrids, x_targets, y_targets=None):
+def _along(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """``a`` applied along axis k of a 1- or 2-axis array: from the left on
+    axis 0, from the right on axis 1."""
+    return a @ values if k == 0 else values @ a.T
+
+
+def reconstruct_eigenfunction(psi, axes: tuple[Axis, ...], *targets):
     """Eigenfunction values from an eigenvector of the discretized generator.
 
-    The eigenvector holds integrated-state values at the inner tensor grid;
-    the eigenfunction is the mixed derivative of its interpolant, evaluated
-    barycentrically at the targets.  In 1-D the reconstruction is the plain
-    derivative.  Returns a (len(x_targets), len(y_targets)) array in 2-D and
-    a vector in 1-D.
+    The eigenvector holds integrated-state values at the inner tensor grid
+    of the axes; the eigenfunction is the mixed derivative of its
+    interpolant (the plain derivative in 1-D), evaluated barycentrically
+    at the tensor grid of the targets, one target array per axis.  Returns
+    an array of shape (len(targets[0]), ...).
     """
+    if len(targets) != len(axes):
+        raise ValueError(f"expected {len(axes)} target arrays, got {len(targets)}")
+    shape = tuple(ax.n for ax in axes)
+    dim = math.prod(shape)
     psi = np.asarray(psi)
-    x_targets = np.atleast_1d(np.asarray(x_targets, dtype=float))
-    if grids.y is None:
-        if psi.shape != (grids.n,):
-            raise ValueError(f"expected eigenvector of length {grids.n}")
-        inner = grids.dx.trimmed @ psi
-        return interp_matrix(grids.theta_x, x_targets) @ inner
-    n, m = grids.n, grids.m
-    if psi.shape != (n * m,):
-        raise ValueError(f"expected eigenvector of length {n * m}")
-    y_targets = np.atleast_1d(np.asarray(y_targets, dtype=float))
-    inner = grids.dx.trimmed @ psi.reshape(n, m) @ grids.dy.trimmed.T
-    ex = interp_matrix(grids.theta_x, x_targets)
-    ey = interp_matrix(grids.theta_y, y_targets)
-    return ex @ inner @ ey.T
+    if psi.shape != (dim,):
+        raise ValueError(f"expected eigenvector of length {dim}")
+    values = psi.reshape(shape)
+    for k, ax in enumerate(axes):
+        values = _along(ax.d, values, k)
+    for k, (ax, t) in enumerate(zip(axes, targets)):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        values = _along(interp_matrix(ax.theta, t), values, k)
+    return values
 
 
-def default_error_rule(generator: GeneratorMatrix):
-    """Evaluation rule for eigenfunction errors: degree 2n per axis."""
-    grids = generator.grids
-    if grids.y is None:
-        return cc_weights(cheb_grid(grids.x.a, grids.x.b, 2 * grids.n))
-    return tensor_rule(
-        grids.x.a, grids.x.b, grids.y.a, grids.y.b, 2 * grids.n, 2 * grids.m
+def default_error_rule(generator: GeneratorMatrix) -> tuple[CCRule, ...]:
+    """Evaluation rules for eigenfunction errors: degree 2n on each axis."""
+    return tuple(
+        cc_weights(cheb_grid(ax.grid.a, ax.grid.b, 2 * ax.n)) for ax in generator.axes
     )
 
 
@@ -159,21 +162,22 @@ def _match_reference(report: EigenReport, lam_ref: float) -> int:
 def eigen_errors(
     report: EigenReport,
     ref: ReferenceEigenpair,
-    rule: TensorCubature | CCRule | None = None,
+    rules: tuple[CCRule, ...] | None = None,
 ) -> tuple[float, float]:
     """Absolute errors of the matched eigenpair against the reference.
 
     The matched eigenvalue minimizes the modulus of the difference from the
     reference.  The reconstructed eigenfunction is aligned with the
-    reference by the complex scalar minimizing the rule-weighted L2
-    distance, and the eigenfunction error is the weighted L1 norm of the
-    aligned difference.  Both errors are stored on the report.
+    reference by the complex scalar minimizing the weighted L2 distance on
+    the tensor grid of ``rules`` (one rule per axis), and the
+    eigenfunction error is the weighted L1 norm of the aligned difference.
+    Both errors are stored on the report.
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
     generator = report.generator
-    if rule is None:
-        rule = default_error_rule(generator)
+    if rules is None:
+        rules = default_error_rule(generator)
     idx = _match_reference(report, ref.lam)
     lam_hat = complex(report.eigenvalues[idx])
     psi = report.vector(idx)
@@ -184,23 +188,12 @@ def eigen_errors(
     if ref.phi is None:
         report.eps_phi = float("nan")
         return eps_lambda, report.eps_phi
-    grids = generator.grids
-    if grids.y is None:
-        nodes = rule.nodes
-        phi_hat = reconstruct_eigenfunction(psi, grids, nodes)
-        phi_ref = np.broadcast_to(
-            np.asarray(ref.phi(nodes), dtype=float), phi_hat.shape
-        )
-        weights = rule.weights
-    else:
-        xs = rule.x_rule.nodes
-        ys = rule.y_rule.nodes
-        phi_hat = reconstruct_eigenfunction(psi, grids, xs, ys)
-        phi_ref = np.broadcast_to(
-            np.asarray(ref.phi(xs[:, None], ys[None, :]), dtype=float),
-            phi_hat.shape,
-        )
-        weights = rule.weights
+    nodes = [rule.nodes for rule in rules]
+    phi_hat = reconstruct_eigenfunction(psi, generator.axes, *nodes)
+    phi_ref = np.broadcast_to(
+        np.asarray(ref.phi(*np.ix_(*nodes)), dtype=float), phi_hat.shape
+    )
+    weights = reduce(np.multiply.outer, [rule.weights for rule in rules])
     denom = np.sum(weights * np.abs(phi_hat) ** 2)
     scale = np.sum(weights * np.conj(phi_hat) * phi_ref) / denom
     report.phi_samples = scale * phi_hat
@@ -217,22 +210,6 @@ def stability_verdict(abscissa: float, tol: float) -> Verdict:
     if abscissa > tol:
         return Verdict.UNSTABLE
     return Verdict.INCONCLUSIVE
-
-
-def _assemble(model, n: int, oversample: int) -> GeneratorMatrix:
-    if isinstance(model, Model1D):
-        return assemble_1d(model, n, oversample)
-    return assemble_2d(model, n, n, oversample)
-
-
-def analyze(model, n: int, oversample: int = 2, reference=None) -> EigenReport:
-    """Assemble at degree n (m = n in 2-D), solve, and measure errors."""
-    ref = reference if reference is not None else model.reference
-    generator = _assemble(model, n, oversample)
-    report = compute_spectrum(generator, k=min(10, generator.dim))
-    if ref is not None:
-        eigen_errors(report, ref)
-    return report
 
 
 def convergence_sweep(
@@ -253,7 +230,7 @@ def convergence_sweep(
     for n in n_list:
         start = time.perf_counter()
         try:
-            generator = _assemble(model, n, oversample)
+            generator = assemble(model, n, oversample=oversample)
             report = compute_spectrum(generator, k=1)
             eps_lambda, eps_phi = eigen_errors(report, ref)
             records.append(

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from popstab.assembly import assemble_2d, collocation_grids
+from popstab.assembly import assemble_boundary, assemble_mortality, collocation_grids
 from popstab.grid import cheb_grid, diff_ops
 from popstab.linalg import eigen_dense, norm_inf
 from popstab.model import APPENDIX_1D_LAMBDA, BUILTIN_NAMES, builtin, load_model
@@ -201,7 +201,7 @@ def test_criterion_7_structural_identities():
     # composed cumulative route
     model11, _ = builtin("ex1_1")
     for n in (4, 8, 16):
-        m_block = assemble_2d(model11, n, n).m_block
+        m_block = assemble_mortality(model11, collocation_grids(model11, n, n))
         err = norm_inf(m_block - np.eye(n * n))
         if err > 1e-10 * 2.0:
             problems.append(f"shortcut mu=1 n={n}: {err:.2e}")
@@ -212,16 +212,16 @@ def test_criterion_7_structural_identities():
     for c in (1.0, 3.7):
         for n in (8, 12):
             model = load_model(base.format(mu=f"{c!r} + 0*x"))
-            gen = assemble_2d(model, n, n)
-            err = norm_inf(gen.m_block - c * np.eye(n * n))
+            m_block = assemble_mortality(model, collocation_grids(model, n, n))
+            err = norm_inf(m_block - c * np.eye(n * n))
             if err > 1e-10 * (1.0 + abs(c)):
                 problems.append(f"composed mu={c} n={n}: {err:.2e}")
     # Kronecker commutation
     model13, _ = builtin("ex1_3")
     for n, m in ((7, 5), (10, 10)):
-        grids = collocation_grids(model13, n, m)
-        dx = np.kron(grids.dx.trimmed, np.eye(m))
-        dy = np.kron(np.eye(n), grids.dy.trimmed)
+        ax, ay = collocation_grids(model13, n, m)
+        dx = np.kron(ax.d, np.eye(m))
+        dy = np.kron(np.eye(n), ay.d)
         scale = np.max(np.abs(dx @ dy))
         err = np.max(np.abs(dx @ dy - dy @ dx))
         if err > 1e-13 * scale:
@@ -229,14 +229,16 @@ def test_criterion_7_structural_identities():
     # bitwise row replication
     for name, (n, m) in (("ex1_3", (6, 5)), ("ex2_4", (5, 5))):
         model, _ = builtin(name)
-        gen = assemble_2d(model, n, m)
+        axes = collocation_grids(model, n, m)
+        a_block = assemble_boundary(model, axes, "x")
+        b_block = assemble_boundary(model, axes, "y")
         for k in range(n):
             for l in range(1, m):
-                if not np.array_equal(gen.a_block[k * m + l], gen.a_block[k * m]):
+                if not np.array_equal(a_block[k * m + l], a_block[k * m]):
                     problems.append(f"{name} A row ({k},{l}) differs")
         for l in range(m):
             for k in range(1, n):
-                if not np.array_equal(gen.b_block[k * m + l], gen.b_block[l]):
+                if not np.array_equal(b_block[k * m + l], b_block[l]):
                     problems.append(f"{name} B row ({k},{l}) differs")
     report(7, not problems, problems or "constant-mu diagonality, commutation, row replication")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -32,8 +33,8 @@ def load(text):
 
 def test_constant_mortality_is_identity():
     model, _ = builtin("ex1_1")
-    grids = collocation_grids(model, 6, 5)
-    m_block = assemble_mortality(model, grids)
+    axes = collocation_grids(model, 6, 5)
+    m_block = assemble_mortality(model, axes)
     assert np.max(np.abs(m_block - np.eye(30))) <= 1e-11
 
 
@@ -42,16 +43,16 @@ def test_constant_mortality_through_composition_route():
     # composition (not the diagonal shortcut) is exercised
     for c in (1.0, 3.7):
         model = load(ZERO_2D.replace('mu = "0"', f'mu = "{c!r} + 0*x"'))
-        grids = collocation_grids(model, 8, 8)
-        m_block = assemble_mortality(model, grids)
+        axes = collocation_grids(model, 8, 8)
+        m_block = assemble_mortality(model, axes)
         err = np.max(np.sum(np.abs(m_block - c * np.eye(64)), axis=1))
         assert err <= 1e-10 * (1.0 + abs(c))
 
 
 def test_zero_mortality_is_exactly_zero():
     model = load(ZERO_2D)
-    grids = collocation_grids(model, 4, 4)
-    assert np.array_equal(assemble_mortality(model, grids), np.zeros((16, 16)))
+    axes = collocation_grids(model, 4, 4)
+    assert np.array_equal(assemble_mortality(model, axes), np.zeros((16, 16)))
 
 
 def test_mortality_action_exact_on_compatible_degrees():
@@ -59,10 +60,10 @@ def test_mortality_action_exact_on_compatible_degrees():
     # stays within the degrees the cumulative solves integrate exactly, so
     # the block action equals the analytic double integral.
     model, _ = builtin("ex1_4")
-    grids = collocation_grids(model, 4, 4)
-    tx, ty = grids.theta_x, grids.theta_y
+    axes = collocation_grids(model, 4, 4)
+    tx, ty = (ax.theta for ax in axes)
     psi = (tx[:, None] ** 2 * ty[None, :]).ravel()  # psi = x^2 y, AC0 on [0,2]x[0,1]
-    m_block = assemble_mortality(model, grids)
+    m_block = assemble_mortality(model, axes)
     got = m_block @ psi
     expected = (((4.0 / 3.0) * tx**3 + tx**2)[:, None] * ty[None, :]).ravel()
     assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -70,8 +71,8 @@ def test_mortality_action_exact_on_compatible_degrees():
 
 def test_boundary_block_zero_kernel_exact():
     model = load(ZERO_2D)
-    grids = collocation_grids(model, 3, 4)
-    a_block = assemble_boundary(model, grids, "x")
+    axes = collocation_grids(model, 3, 4)
+    a_block = assemble_boundary(model, axes, "x")
     assert np.array_equal(a_block, np.zeros((12, 12)))
 
 
@@ -80,77 +81,64 @@ def test_boundary_block_ex11_symbolic_oracle():
     # [l_i(1) - l_i(0)][l_j(1) - l_j(0)], nonzero only for i = j = 2, and the
     # outer cumulative integral of that constant is x_k * delta.
     model, _ = builtin("ex1_1")
-    gen = assemble_2d(model, 2, 2)
-    xs = gen.grids.theta_x
+    axes = collocation_grids(model, 2, 2)
+    xs = axes[0].theta
     expected = np.zeros((4, 4))
     for k in range(2):
         for l in range(2):
             expected[k * 2 + l, 1 * 2 + 1] = xs[k]
-    assert np.max(np.abs(gen.a_block - expected)) <= 1e-10
+    assert np.max(np.abs(assemble_boundary(model, axes, "x") - expected)) <= 1e-10
 
 
 def test_boundary_rows_replicate_bitwise():
     model, _ = builtin("ex1_3")
-    gen = assemble_2d(model, 5, 4)
     n, m = 5, 4
+    axes = collocation_grids(model, n, m)
+    a_block = assemble_boundary(model, axes, "x")
+    b_block = assemble_boundary(model, axes, "y")
     for k in range(n):
         for l in range(1, m):
-            assert np.array_equal(gen.a_block[k * m + l], gen.a_block[k * m])
+            assert np.array_equal(a_block[k * m + l], a_block[k * m])
     for l in range(m):
         for k in range(1, n):
-            assert np.array_equal(gen.b_block[k * m + l], gen.b_block[l])
+            assert np.array_equal(b_block[k * m + l], b_block[l])
 
 
 def test_zero_model_is_pure_advection():
     model = load(ZERO_2D)
     gen = assemble_2d(model, 4, 3)
-    dx = np.kron(gen.grids.dx.trimmed, np.eye(3))
-    dy = np.kron(np.eye(4), gen.grids.dy.trimmed)
+    dx = np.kron(gen.axes[0].d, np.eye(3))
+    dy = np.kron(np.eye(4), gen.axes[1].d)
     expected = -(1.0 * dx) - (1.0 * dy)
     assert np.array_equal(gen.matrix, expected)
 
 
 def test_kronecker_commutation():
     model, _ = builtin("ex1_3")
-    grids = collocation_grids(model, 7, 5)
-    dx = np.kron(grids.dx.trimmed, np.eye(5))
-    dy = np.kron(np.eye(7), grids.dy.trimmed)
+    ax, ay = collocation_grids(model, 7, 5)
+    dx = np.kron(ax.d, np.eye(5))
+    dy = np.kron(np.eye(7), ay.d)
     scale = np.max(np.abs(dx @ dy))
     assert np.max(np.abs(dx @ dy - dy @ dx)) <= 1e-13 * scale
-
-
-def test_index_map_bijection():
-    model, _ = builtin("ex1_1")
-    gen = assemble_2d(model, 5, 3)
-    seen = set()
-    for i in range(1, 6):
-        for j in range(1, 4):
-            flat = gen.flat_index(i, j)
-            assert gen.pair_index(flat) == (i, j)
-            seen.add(flat)
-    assert seen == set(range(15))
-    with pytest.raises(IndexError):
-        gen.flat_index(0, 1)
-    with pytest.raises(IndexError):
-        gen.pair_index(15)
 
 
 def test_oversample_insensitive_for_smooth_kernels():
     for name in ("ex1_3", "ex1_4", "velocity"):
         model, _ = builtin(name)
-        low = assemble_2d(model, 10, 10, oversample=2)
-        high = assemble_2d(model, 10, 10, oversample=4)
-        assert np.max(np.abs(low.a_block - high.a_block)) <= 1e-8
-        assert np.max(np.abs(low.b_block - high.b_block)) <= 1e-8
+        axes = collocation_grids(model, 10, 10)
+        for axis in ("x", "y"):
+            low = assemble_boundary(model, axes, axis, oversample=2)
+            high = assemble_boundary(model, axes, axis, oversample=4)
+            assert np.max(np.abs(low - high)) <= 1e-8
 
 
 def test_oversample_validation():
     model, _ = builtin("ex1_1")
-    grids = collocation_grids(model, 2, 2)
+    axes = collocation_grids(model, 2, 2)
     with pytest.raises(ValueError):
-        assemble_boundary(model, grids, "x", oversample=0)
+        assemble_boundary(model, axes, "x", oversample=0)
     with pytest.raises(ValueError):
-        assemble_boundary(model, grids, "z")
+        assemble_boundary(model, axes, "z")
 
 
 def test_ex11_eigenvalue_machine_precision_at_degree_two():
@@ -185,7 +173,7 @@ def test_1d_zero_kernel_constant_mortality():
 def test_1d_pure_advection_of_linear_function():
     model = load('x_min = 0.5\nx_max = 2\nmu = "0"\nbeta = "0"\n')
     gen = assemble_1d(model, 8)
-    psi = gen.grids.theta_x - 0.5
+    psi = gen.axes[0].theta - 0.5
     got = gen.matrix @ psi
     assert np.max(np.abs(got + 1.0)) <= 1e-12
 
@@ -208,9 +196,9 @@ def test_generator_matrix_is_finite():
 def _kron_reference(model, n, m, oversample=2):
     """The generator and its mortality block, built with explicit nm x nm
     Kronecker factors from the formula in the assembly module docstring."""
-    grids = collocation_grids(model, n, m)
-    dx, dy = grids.dx.trimmed, grids.dy.trimmed
-    tx, ty = grids.theta_x, grids.theta_y
+    ax, ay = collocation_grids(model, n, m)
+    dx, dy = ax.d, ay.d
+    tx, ty = ax.theta, ay.theta
     dom = model.domain
     x_rule = cc_weights(cheb_grid(dom.x0, dom.x_bar, oversample * n))
     y_rule = cc_weights(cheb_grid(dom.y0, dom.y_bar, oversample * m))
@@ -247,20 +235,36 @@ def test_per_axis_assembly_matches_kronecker_reference(n, m):
         matrix, m_block = _kron_reference(model, n, m)
         tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
         assert np.max(np.abs(gen.matrix - matrix)) <= tol, name
-        assert np.max(np.abs(gen.m_block - m_block)) <= tol, name
+        assert np.max(np.abs(assemble_mortality(model, gen.axes) - m_block)) <= tol, name
 
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex1_4"])
 def test_assembly_peak_memory(name):
-    # the generator keeps four dense nm x nm arrays (matrix and the A, B, M
-    # blocks); assembly may hold at most two more at its peak
+    # the generator keeps one dense nm x nm array, its matrix; each block is
+    # added to it as soon as it is made, and the per-axis mortality solves
+    # (non-constant mu, ex1_4) hold at most two tensors of that size
     model, _ = builtin(name)
     n = m = 24
     assemble_2d(model, 4, 4)  # warm up lazy imports and caches
     tracemalloc.start()
     try:
-        assemble_2d(model, n, m)
+        gen = assemble_2d(model, n, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * (n * m) ** 2 * 8
+    assert peak <= 3.5 * (n * m) ** 2 * 8
+    held = [a for a in _held_arrays(gen) if a.size >= gen.dim**2]
+    assert len(held) == 1 and held[0].shape == (gen.dim, gen.dim)
+    assert held[0].dtype == np.float64
+
+
+def _held_arrays(obj):
+    """The arrays reachable from obj through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))

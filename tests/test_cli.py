@@ -187,6 +187,25 @@ def test_nonpositive_integer_arguments_exit_two(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "--model", "builtin:ex1_1", "--n", "3", "--tol", "-1"),
+         "--tol must be nonnegative"),
+        (("converge", "--model", "builtin:ex1_1", "--n-min", "5", "--n-max", "3"),
+         "--n-min must not exceed --n-max"),
+    ],
+    ids=["negative-tol", "empty-degree-range"],
+)
+def test_out_of_range_options_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize(
     "text, expected, point",
     [
         ('x_min = 0\nx_max = 1\nmu = "1"\nbeta = "log(x)"\n', "beta is undefined", "at x = 0"),

@@ -5,7 +5,6 @@ from popstab.linalg import (
     NoConvergence,
     SingularMatrix,
     eigen_dense,
-    kron,
     lu_solve,
     norm_inf,
 )
@@ -45,26 +44,6 @@ def test_singular_matrix_raises():
         lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
     with pytest.raises(SingularMatrix):
         lu_solve(np.zeros((3, 3)) + 1e-20, np.ones(3))
-
-
-def test_kron_small_cases():
-    assert np.array_equal(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-    got = kron([[1.0, 2.0]], [[3.0], [4.0]])
-    # definition: block (i, j) equals A[i, j] * B
-    assert np.array_equal(got, np.array([[3.0, 6.0], [4.0, 8.0]]))
-    a = np.arange(6.0).reshape(2, 3)
-    b = np.arange(8.0).reshape(4, 2)
-    assert kron(a, b).shape == (8, 6)
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    left = kron(a, np.eye(3)) @ kron(np.eye(3), b)
-    right = kron(a, b)
-    scale = np.max(np.abs(right))
-    assert np.max(np.abs(left - right)) <= 1e-14 * scale
 
 
 def test_eigen_diagonal():

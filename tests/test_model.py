@@ -9,17 +9,14 @@ from popstab.model import (
     APPENDIX_1D_LAMBDA,
     BUILTIN_NAMES,
     ConfigSyntax,
-    Diagnostic,
     MissingKey,
     Model1D,
     Model2D,
-    NonpositiveVelocity,
     UnknownExample,
     VariableMismatch,
     builtin,
     load_model,
     to_config,
-    validate_model,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -266,26 +263,3 @@ def test_loader_round_trip():
                 assert reloaded.gy(y) == model.gy(y)
         assert reloaded.reference.lam == model.reference.lam
 
-
-def test_validate_clean_model():
-    model, _ = builtin("ex1_4")
-    assert validate_model(model, 10, 10) == []
-
-
-def test_validate_negative_mortality():
-    model = load_model(EX11_CONFIG.replace('mu = "1"', 'mu = "-1"'))
-    diags = validate_model(model, 6, 6)
-    assert any(d.code == "NegativeMortality" for d in diags)
-    assert all(isinstance(d, Diagnostic) for d in diags)
-
-
-def test_validate_negative_kernel_warns():
-    model, _ = builtin("ex2_2")  # alpha_1(x) = -x|x| <= 0
-    diags = validate_model(model, 8, 8)
-    assert any(d.code == "NegativeKernel" for d in diags)
-
-
-def test_validate_nonpositive_velocity():
-    model = load_model(EX11_CONFIG + 'gx = "x"\n')  # gx(0) = 0 on [0, 1]
-    with pytest.raises(NonpositiveVelocity):
-        validate_model(model, 6, 6)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from popstab.grid import cheb_grid, diff_ops
+from popstab.linalg import lu_solve
 from popstab.quad import (
     ShapeMismatch,
     cc_weights,
     cubature_rect,
-    cumulative_integrals,
     quadrature,
     tensor_rule,
 )
@@ -92,10 +92,15 @@ def test_cubature_shape_mismatch():
         quadrature(rule.x_rule, np.ones(5))
 
 
+# Cumulative integrals are solves with the trimmed differentiation matrix:
+# given the integrand at the inner nodes, entry k of the solve is the integral
+# of its interpolant from the left endpoint to node k.  Assembly relies on it.
+
+
 def test_cumulative_of_ones():
     g = cheb_grid(0.0, 1.0, 2)
     ops = diff_ops(g)
-    got = cumulative_integrals(ops.trimmed, np.ones(2))
+    got = lu_solve(ops.trimmed, np.ones(2))
     assert np.max(np.abs(got - np.array([0.5, 1.0]))) <= 1e-13
 
 
@@ -103,7 +108,7 @@ def test_cumulative_polynomial_exactness():
     g = cheb_grid(0.0, 1.0, 6)
     ops = diff_ops(g)
     inner = g.nodes[1:]
-    got = cumulative_integrals(ops.trimmed, 2.0 * inner)
+    got = lu_solve(ops.trimmed, 2.0 * inner)
     assert np.max(np.abs(got - inner**2)) <= 1e-12
 
 
@@ -111,7 +116,7 @@ def test_cumulative_analytic_antiderivative():
     g = cheb_grid(0.0, np.pi / 2, 12)
     ops = diff_ops(g)
     inner = g.nodes[1:]
-    got = cumulative_integrals(ops.trimmed, np.cos(inner))
+    got = lu_solve(ops.trimmed, np.cos(inner))
     assert np.max(np.abs(got - np.sin(inner))) <= 1e-9
 
 
@@ -119,13 +124,13 @@ def test_double_cumulative_of_one():
     gx = cheb_grid(0.3, 2.1, 7)
     gy = cheb_grid(-1.0, 0.5, 5)
     dx, dy = diff_ops(gx), diff_ops(gy)
-    along_x = cumulative_integrals(dx.trimmed, np.ones((7, 5)))
-    both = cumulative_integrals(dy.trimmed, along_x.T).T
+    along_x = lu_solve(dx.trimmed, np.ones((7, 5)))
+    both = lu_solve(dy.trimmed, along_x.T).T
     expected = np.outer(gx.nodes[1:] - 0.3, gy.nodes[1:] + 1.0)
     assert np.max(np.abs(both - expected)) <= 1e-11
 
 
 def test_cumulative_shape_mismatch():
     ops = diff_ops(cheb_grid(0.0, 1.0, 4))
-    with pytest.raises(ShapeMismatch):
-        cumulative_integrals(ops.trimmed, np.ones(5))
+    with pytest.raises(ValueError):
+        lu_solve(ops.trimmed, np.ones(5))

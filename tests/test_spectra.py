@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 from popstab.assembly import (
-    CollocationGrids,
     GeneratorMatrix,
+    assemble,
     assemble_1d,
     assemble_2d,
+    collocation_axis,
     collocation_grids,
 )
-from popstab.grid import cheb_grid, diff_ops
 from popstab.linalg import eigen_dense, norm_inf
 from popstab.model import BUILTIN_NAMES, ReferenceEigenpair, builtin, coefficient, load_model
-from popstab.quad import tensor_rule
 from popstab.spectra import (
     ConvergenceRecord,
     InsufficientData,
     MissingReference,
     Verdict,
-    analyze,
     compute_spectrum,
     convergence_sweep,
     default_error_rule,
@@ -30,10 +28,17 @@ from popstab.spectra import (
 
 
 def _wrap_matrix(matrix):
-    """GeneratorMatrix around an explicit matrix (1-D grid of matching size)."""
+    """GeneratorMatrix around an explicit matrix (1-D axis of matching size)."""
     n = matrix.shape[0]
-    g = cheb_grid(0.0, 1.0, n)
-    return GeneratorMatrix(np.asarray(matrix, float), CollocationGrids(g, diff_ops(g)), None, None, None)
+    return GeneratorMatrix(np.asarray(matrix, float), (collocation_axis(0.0, 1.0, n),))
+
+
+def _analyze(model, n):
+    """Assemble at degree n (m = n in 2-D), solve, and measure errors."""
+    generator = assemble(model, n)
+    report = compute_spectrum(generator, k=min(10, generator.dim))
+    eigen_errors(report, model.reference)
+    return report
 
 
 def test_spectrum_of_diagonal():
@@ -62,38 +67,46 @@ def test_verdicts():
 
 def test_reconstruct_bilinear_bubble():
     model, _ = builtin("ex1_1")
-    grids = collocation_grids(model, 4, 5)
-    tx, ty = grids.theta_x, grids.theta_y
+    axes = collocation_grids(model, 4, 5)
+    tx, ty = (ax.theta for ax in axes)
     psi = (tx[:, None] * ty[None, :]).ravel()  # (x - 0)(y - 0)
     xt = np.linspace(0.0, 1.0, 7)
     yt = np.linspace(0.0, 1.0, 6)
-    phi = reconstruct_eigenfunction(psi, grids, xt, yt)
+    phi = reconstruct_eigenfunction(psi, axes, xt, yt)
     assert np.max(np.abs(phi - 1.0)) <= 1e-12
 
 
 def test_reconstruct_mixed_derivative():
     model, _ = builtin("ex1_1")
-    grids = collocation_grids(model, 5, 4)
-    tx, ty = grids.theta_x, grids.theta_y
+    axes = collocation_grids(model, 5, 4)
+    tx, ty = (ax.theta for ax in axes)
     psi = (tx[:, None] ** 2 * ty[None, :]).ravel()  # d2/dxdy = 2x
     xt = np.linspace(0.0, 1.0, 9)
     yt = np.linspace(0.0, 1.0, 5)
-    phi = reconstruct_eigenfunction(psi, grids, xt, yt)
+    phi = reconstruct_eigenfunction(psi, axes, xt, yt)
     assert np.max(np.abs(phi - 2.0 * xt[:, None])) <= 1e-11
 
 
 def test_reconstruct_1d_derivative():
-    g = cheb_grid(0.0, 2.0, 8)
-    grids = CollocationGrids(g, diff_ops(g))
-    psi = grids.theta_x ** 3
+    axes = (collocation_axis(0.0, 2.0, 8),)
+    psi = axes[0].theta ** 3
     targets = np.linspace(0.0, 2.0, 11)
-    phi = reconstruct_eigenfunction(psi, grids, targets)
+    phi = reconstruct_eigenfunction(psi, axes, targets)
     assert np.max(np.abs(phi - 3.0 * targets**2)) <= 1e-10
+
+
+@pytest.mark.parametrize("n_targets", [0, 1, 3])
+def test_reconstruct_needs_one_target_array_per_axis(n_targets):
+    model, _ = builtin("ex1_1")
+    axes = collocation_grids(model, 3, 3)
+    targets = [np.linspace(0.0, 1.0, 4)] * n_targets
+    with pytest.raises(ValueError, match="target arrays"):
+        reconstruct_eigenfunction(np.ones(9), axes, *targets)
 
 
 def test_ex12_eigenfunction_error_small():
     model, ref = builtin("ex1_2")
-    report = analyze(model, 15)
+    report = _analyze(model, 15)
     assert report.eps_phi <= 1e-8
     assert report.phi_samples is not None
 
@@ -125,11 +138,11 @@ def test_alignment_is_least_squares_optimal():
     gen = assemble_2d(model, 8, 8)
     report = compute_spectrum(gen, k=1)
     eigen_errors(report, ref)
-    rule = default_error_rule(gen)
-    xs, ys = rule.x_rule.nodes, rule.y_rule.nodes
-    phi_hat = reconstruct_eigenfunction(report.matched_vector, gen.grids, xs, ys)
+    x_rule, y_rule = default_error_rule(gen)
+    xs, ys = x_rule.nodes, y_rule.nodes
+    phi_hat = reconstruct_eigenfunction(report.matched_vector, gen.axes, xs, ys)
     phi_ref = ref.phi(xs[:, None], ys[None, :])
-    w = rule.weights
+    w = np.outer(x_rule.weights, y_rule.weights)
     c_best = np.sum(w * np.conj(phi_hat) * phi_ref) / np.sum(w * np.abs(phi_hat) ** 2)
 
     def l2(c):
@@ -154,7 +167,7 @@ def test_conjugate_pair_tie_break_is_deterministic():
 def test_matched_residual_invariant():
     for name, n in (("ex1_2", 8), ("ex1_4", 10), ("velocity", 10), ("appendix1d", 12)):
         model, ref = builtin(name)
-        report = analyze(model, n)
+        report = _analyze(model, n)
         gen = report.generator
         psi = report.matched_vector
         residual = norm_inf(gen.matrix @ psi - report.matched * psi)
@@ -163,7 +176,7 @@ def test_matched_residual_invariant():
 
 def test_rightmost_consistency():
     model, ref = builtin("ex1_1")
-    report = analyze(model, 5)
+    report = _analyze(model, 5)
     assert abs(report.matched - report.abscissa) <= 1e-6
     assert report.abscissa == pytest.approx(-1.0, abs=1e-9)
 
@@ -244,9 +257,9 @@ def test_compute_spectrum_k_validation():
 def test_error_rule_uses_doubled_degree():
     model, _ = builtin("ex1_1")
     gen = assemble_2d(model, 6, 4)
-    rule = default_error_rule(gen)
-    assert rule.x_rule.grid.n == 12
-    assert rule.y_rule.grid.n == 8
+    x_rule, y_rule = default_error_rule(gen)
+    assert x_rule.grid.n == 12
+    assert y_rule.grid.n == 8
 
 
 def _assert_residual_bound(matrix, lam, psi):
