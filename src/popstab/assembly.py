@@ -3,8 +3,8 @@
 A model is collocated on one :class:`Axis` per structuring variable: the
 Chebyshev grid of the axis and its trimmed differentiation matrix D (the
 left-endpoint row and column carry zero boundary values and are dropped).
-For a 2-D model the matrix acts on values of the integrated state at the
-inner tensor grid:
+The matrix acts on values of the integrated state at the inner tensor
+grid.  In 2-D it is
 
     generator = -Gx.Dx - Gy.Dy + A + B - M
 
@@ -19,20 +19,24 @@ double cumulative integral:
     M = (D_x (x) D_y)^{-1} diag(mu) (D_x (x) D_y)
 
 K_alpha (n rows) and K_beta (m rows) hold the kernel-weighted tensor
-Clenshaw-Curtis cubature at the inner nodes of their axis, E_x and E_y
-interpolate from the inner nodes to the cubature nodes, and
-R_x = I_n (x) 1_m and R_y = 1_n (x) I_m replicate the rows.  No nm x nm
-Kronecker factor is formed: products with E_x (x) E_y and D_x (x) D_y act
-per axis on the (n, m) tensor of a row, and
+Clenshaw-Curtis cubature at the inner nodes of the other axis (alpha is
+the inflow across the left edge of y, beta the one across the left edge
+of x), E_x and E_y interpolate from the inner nodes to the cubature
+nodes, and R_x = I_n (x) 1_m and R_y = 1_n (x) I_m replicate the rows.
+
+A 1-D model is the one-axis case of the same construction: one lift -D
+(velocity 1), one boundary block 1 (w beta)^T E D with no other axis to
+integrate along, and M = D^{-1} diag(mu) D, so
+
+    generator = -D + 1 (w beta)^T E D - D^{-1} diag(mu) D.
+
+No nm x nm Kronecker factor is formed: products with E_x (x) E_y and
+D_x (x) D_y act per axis on the (n, m) tensor of a row, and
 (D_x (x) D_y)^{-1} = D_x^{-1} (x) D_y^{-1} turns the mortality solve into
 one solve per axis.  Cumulative integrals are factorization solves with
 the trimmed matrices (inverses are never formed).  Each block is added to
 the matrix as soon as it is made, so the generator is the only nm x nm
 array that outlives assembly.
-
-The 1-D matrix is -D + 1*(w^T E D) - D^{-1} diag(mu) D, with the
-rank-one term realizing the scalar renewal integral of the derivative;
-its mortality block is the one-axis case of the 2-D one.
 
 Coefficient samples that are undefined (log or sqrt outside their domain)
 or not finite raise :class:`InvalidSample`, naming the coefficient and the
@@ -41,15 +45,18 @@ first such sample point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .expr import DomainError
 from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
 from .linalg import lu_solve
-from .model import InvalidSample, Model1D, Model2D, NonpositiveVelocity
-from .quad import cc_weights
+from .model import InvalidSample, Model, NonpositiveVelocity
+from .quad import CCRule, cc_weights
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,7 @@ class Axis:
 
     grid: ChebGrid
     d: np.ndarray
+    _cubatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -68,6 +76,15 @@ class Axis:
         """Inner nodes x_1 < ... < x_n = b (x_0 excluded)."""
         return self.grid.nodes[1:]
 
+    def cubature(self, oversample: int) -> tuple[CCRule, np.ndarray]:
+        """The Clenshaw-Curtis rule of degree oversample * n on the axis and
+        the interpolation matrix from the inner nodes to its nodes, built on
+        first use."""
+        if oversample not in self._cubatures:
+            rule = cc_weights(cheb_grid(self.grid.a, self.grid.b, oversample * self.n))
+            self._cubatures[oversample] = rule, interp_matrix(self.theta, rule.nodes)
+        return self._cubatures[oversample]
+
 
 def collocation_axis(a: float, b: float, n: int) -> Axis:
     """The degree-n axis on [a, b]."""
@@ -75,10 +92,12 @@ def collocation_axis(a: float, b: float, n: int) -> Axis:
     return Axis(grid, diff_ops(grid).trimmed)
 
 
-def collocation_grids(model: Model2D, n: int, m: int) -> tuple[Axis, Axis]:
-    """The x axis of degree n and the y axis of degree m of a 2-D model."""
-    dom = model.domain
-    return collocation_axis(dom.x0, dom.x_bar, n), collocation_axis(dom.y0, dom.y_bar, m)
+def collocation_grids(model: Model, *degrees: int) -> tuple[Axis, ...]:
+    """One axis per interval of the model, of the given degrees (n along x,
+    then m along y)."""
+    return tuple(
+        collocation_axis(a, b, n) for (a, b), n in zip(model.bounds, degrees, strict=True)
+    )
 
 
 @dataclass(frozen=True)
@@ -126,7 +145,7 @@ def _samples(coef, name: str, *points) -> np.ndarray:
     return values
 
 
-def assemble_mortality(model: Model1D | Model2D, axes: tuple[Axis, ...]) -> np.ndarray:
+def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
     """The mortality block: cumulative integral, along every axis, of mu
     times the derivative along every axis.
 
@@ -152,58 +171,54 @@ def assemble_mortality(model: Model1D | Model2D, axes: tuple[Axis, ...]) -> np.n
     return t.reshape(mu.size, mu.size).T
 
 
-def _kernel_cubature(coef, name, points, x_rule, y_rule) -> np.ndarray:
-    """Kernel-weighted cubature: slice k maps samples of f on the cubature
-    tensor grid to the integral of coef(points[k], ., .) * f."""
-    kern = _samples(
-        coef,
-        name,
-        points[:, None, None],
-        x_rule.nodes[None, :, None],
-        y_rule.nodes[None, None, :],
-    )
-    return kern * np.outer(x_rule.weights, y_rule.weights)
+# The inflow kernel across the left edge of each axis.
+_KERNELS = ("beta", "alpha")
 
 
 def assemble_boundary(
-    model: Model2D,
-    axes: tuple[Axis, Axis],
-    axis: str,
+    model: Model,
+    axes: tuple[Axis, ...],
+    axis: int,
     oversample: int = 2,
 ) -> np.ndarray:
-    """Boundary-kernel block for the given axis ("x" uses alpha, "y" beta).
+    """Boundary block of the inflow across the left edge of ``axes[axis]``
+    (beta for x, alpha for y).
 
-    Pipeline: interpolate the mixed derivative of the interpolant from the
-    inner tensor grid to the cubature grid, apply the kernel-weighted
-    cubature at each inner node of the axis, then take the cumulative
-    integral along the axis.  Each step acts on the (n, m) tensor of a
-    row, one axis at a time.  The result is constant across the other
-    index, so rows replicate.
+    Pipeline: sample the kernel at the inner nodes of the other axis and
+    the cubature grid, and weight it by the cubature; interpolate the
+    mixed derivative of the interpolant from the inner tensor grid to the
+    cubature grid and integrate it against each kernel row; then take the
+    cumulative integral along the other axis.  Each step acts one axis at
+    a time.  The result is constant along ``axis``, so rows replicate.
+    In 1-D there is no other axis and the block is 1 (w beta)^T E D.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    if not 0 <= axis < len(axes):
+        raise ValueError(f"axis must be in 0..{len(axes) - 1}, got {axis!r}")
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
-    ax, ay = axes
-    n, m = ax.n, ay.n
-    x_rule, y_rule = (
-        cc_weights(cheb_grid(g.a, g.b, oversample * g.n)) for g in (ax.grid, ay.grid)
+    name = _KERNELS[axis]
+    others = axes[:axis] + axes[axis + 1:]
+    rules, interps = zip(*(ax.cubature(oversample) for ax in axes))
+    kern = _samples(
+        getattr(model, name),
+        name,
+        *np.ix_(*(ax.theta for ax in others), *(rule.nodes for rule in rules)),
     )
-    ex = interp_matrix(ax.theta, x_rule.nodes)
-    ey = interp_matrix(ay.theta, y_rule.nodes)
-    if axis == "x":
-        rows = _kernel_cubature(model.alpha, "alpha", ax.theta, x_rule, y_rule)
-        trimmed = ax.d
-    else:
-        rows = _kernel_cubature(model.beta, "beta", ay.theta, x_rule, y_rule)
-        trimmed = ay.d
-    # rows @ kron(ex, ey) @ kron(Dx, Dy), one axis at a time
-    collocated = ex.T @ rows @ ey
-    mixed = ax.d.T @ collocated @ ay.d
-    cumulative = lu_solve(trimmed, mixed.reshape(rows.shape[0], n * m))
-    if axis == "x":
-        return np.repeat(cumulative, m, axis=0)
-    return np.tile(cumulative, (n, 1))
+    t = kern * reduce(np.multiply.outer, [rule.weights for rule in rules])
+    # rows @ kron(E) @ kron(D), one axis at a time: the last axis from the
+    # right, the one before it (x in 2-D) from the left
+    for mats in (interps, [ax.d for ax in axes]):
+        *first, last = mats
+        for a in first:
+            t = a.T @ t
+        t = t @ last
+    dim = math.prod(ax.n for ax in axes)
+    for ax in others:
+        t = lu_solve(ax.d, t.reshape(ax.n, dim))
+    shape = [ax.n for ax in axes]
+    shape[axis] = 1
+    block = np.broadcast_to(t.reshape(*shape, dim), (*(ax.n for ax in axes), dim))
+    return np.ascontiguousarray(block).reshape(dim, dim)
 
 
 def _velocity_samples(coef, nodes, name: str) -> np.ndarray:
@@ -213,52 +228,60 @@ def _velocity_samples(coef, nodes, name: str) -> np.ndarray:
     return values
 
 
-def assemble_2d(
-    model: Model2D, n: int, m: int | None = None, oversample: int = 2
-) -> GeneratorMatrix:
-    """Discretized generator of a 2-D model at degrees (n, m)."""
-    if m is None:
-        m = n
-    if n < 1 or m < 1:
+def _blocks(lifted: np.ndarray, k: int) -> np.ndarray:
+    """The view of the [i, ..., i', ...] array ``lifted`` where every index
+    but the k-th equals its primed copy, as [other indices..., i_k, i_k']."""
+    half = lifted.ndim // 2
+    shape, strides = lifted.shape, lifted.strides
+    others = [j for j in range(half) if j != k]
+    return as_strided(
+        lifted,
+        [shape[j] for j in others] + [shape[k], shape[k]],
+        [strides[j] + strides[half + j] for j in others] + [strides[k], strides[half + k]],
+    )
+
+
+def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> GeneratorMatrix:
+    """The generator of the model at the given degree along each axis."""
+    if min(degrees) < 1:
         raise ValueError("degrees must be at least 1")
-    axes = collocation_grids(model, n, m)
-    ax, ay = axes
-    gx = _velocity_samples(model.gx, ax.grid.nodes, "gx")[1:]
-    gy = _velocity_samples(model.gy, ay.grid.nodes, "gy")[1:]
-    matrix = np.zeros((n * m, n * m))
-    # the lifts -Gx (Dx (x) I) and -Gy (I (x) Dy), written into the
-    # [i, j, i', j'] view: blocks on j = j' and on i = i'
-    lifted = matrix.reshape(n, m, n, m)
-    j = np.arange(m)
-    lifted[:, j, :, j] = -(gx[:, None] * ax.d)
-    i = np.arange(n)
-    lifted[i, :, i, :] -= gy[:, None] * ay.d
-    matrix += assemble_boundary(model, axes, "x", oversample)
-    matrix += assemble_boundary(model, axes, "y", oversample)
+    axes = collocation_grids(model, *degrees)
+    velocities = [
+        1.0 if coef is None else _velocity_samples(coef, ax.grid.nodes, name)[1:, None]
+        for ax, coef, name in zip(axes, (model.gx, model.gy), ("gx", "gy"))
+    ]
+    dim = math.prod(degrees)
+    matrix = np.zeros((dim, dim))
+    # the lifts -g_k D_k along each axis, on the blocks where the other
+    # indices are equal
+    lifted = matrix.reshape(degrees * 2)
+    for k, (ax, g) in enumerate(zip(axes, velocities)):
+        _blocks(lifted, k)[...] -= g * ax.d
+    for axis in reversed(range(len(axes))):
+        matrix += assemble_boundary(model, axes, axis, oversample)
     matrix -= assemble_mortality(model, axes)
     return GeneratorMatrix(matrix, axes)
 
 
-def assemble_1d(model: Model1D, n: int, oversample: int = 2) -> GeneratorMatrix:
+def assemble_1d(model: Model, n: int, oversample: int = 2) -> GeneratorMatrix:
     """Discretized generator of a 1-D model at degree n."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    axes = (collocation_axis(model.x0, model.x_bar, n),)
-    (ax,) = axes
-    rule = cc_weights(cheb_grid(model.x0, model.x_bar, oversample * n))
-    e = interp_matrix(ax.theta, rule.nodes)
-    beta_w = rule.weights * _samples(model.beta, "beta", rule.nodes)
-    renewal_row = beta_w @ e @ ax.d
-    matrix = -ax.d + np.tile(renewal_row, (n, 1))
-    matrix -= assemble_mortality(model, axes)
-    return GeneratorMatrix(matrix, axes)
+    return _generator(model, (n,), oversample)
+
+
+def assemble_2d(
+    model: Model, n: int, m: int | None = None, oversample: int = 2
+) -> GeneratorMatrix:
+    """Discretized generator of a 2-D model at degrees (n, m); m defaults to n."""
+    return _generator(model, (n, n if m is None else m), oversample)
 
 
 def assemble(
-    model: Model1D | Model2D, n: int, m: int | None = None, oversample: int = 2
+    model: Model, n: int, m: int | None = None, oversample: int = 2
 ) -> GeneratorMatrix:
     """Discretized generator of a model at degree n, and m (default n) in
-    2-D; m is ignored for a 1-D model."""
+    2-D; a 1-D model takes no m."""
     if model.dimension == 1:
+        if m is not None:
+            raise ValueError(f"m = {m} given for a model with one axis")
         return assemble_1d(model, n, oversample)
     return assemble_2d(model, n, m, oversample)

@@ -76,6 +76,8 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 def cmd_spectrum(args) -> int:
     model = _load(args.model)
+    if args.m is not None and model.dimension < 2:
+        raise ConfigSyntax(f"--m needs a 2-D model; {args.model} has one axis")
     generator = assemble(model, args.n, args.m, args.oversample)
     k = min(args.k, generator.dim)
     report = spectra.compute_spectrum(generator, k)
@@ -148,12 +150,7 @@ def cmd_examples(args) -> int:
     print(f"{'name':<12} {'dim':<4} {'domain':<34} {'lambda':<22} note")
     for name in BUILTIN_NAMES:
         mdl, ref = builtin(name)
-        if mdl.dimension == 2:
-            dom = mdl.domain
-            domain = (f"[{dom.x0:.6g}, {dom.x_bar:.6g}] x "
-                      f"[{dom.y0:.6g}, {dom.y_bar:.6g}]")
-        else:
-            domain = f"[{mdl.x0:.6g}, {mdl.x_bar:.6g}]"
+        domain = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in mdl.bounds)
         print(f"{name:<12} {mdl.dimension:<4} {domain:<34} {_fmt(ref.lam):<22} {ref.note}")
     return 0
 
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="compute the rightmost spectrum of a model")
     spectrum.add_argument("--model", required=True, help="builtin:<name> or model file path")
     spectrum.add_argument("--n", type=int, required=True)
-    spectrum.add_argument("--m", type=int, default=None, help="default: same as --n")
+    spectrum.add_argument("--m", type=int, default=None, help="2-D models only; default: same as --n")
     spectrum.add_argument("--k", type=int, default=10, help="eigenvalues to report")
     spectrum.add_argument("--oversample", type=int, default=2)
     spectrum.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")

@@ -44,7 +44,8 @@ def norm_inf(a) -> float:
     a = np.asarray(a)
     if a.ndim <= 1:
         return float(np.max(np.abs(a))) if a.size else 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    # LAPACK xLANGE: no |a| temporary
+    return float(scipy.linalg.norm(a, np.inf, check_finite=False))
 
 
 def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:

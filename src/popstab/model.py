@@ -1,10 +1,11 @@
 """Model definitions, the text configuration loader, and builtin examples.
 
-A 2-D model is a rectangle with mortality mu(x, y), boundary kernels
-alpha(x, xi, sigma) and beta(y, xi, sigma), and optional velocities
-gx(x), gy(y) (default 1).  A 1-D model is an interval with mu(x) and
-beta(x).  Each coefficient role has a fixed variable vocabulary so that
-configuration typos surface at load time.
+A :class:`Model` has one interval per axis (x, then y).  A 2-D model has
+mortality mu(x, y), boundary kernels alpha(x, xi, sigma) and
+beta(y, xi, sigma), and optional velocities gx(x), gy(y) (default 1).  A
+1-D model has mu(x) and beta(x).  Each coefficient role has a fixed
+variable vocabulary per dimension (``_ROLES``) so that configuration
+typos surface at load time.
 
 The builtin registry provides a family of test cases with analytically
 known eigenpairs; their reference
@@ -49,18 +50,6 @@ class InvalidSample(ValueError):
 
 
 @dataclass(frozen=True)
-class Rectangle:
-    x0: float
-    x_bar: float
-    y0: float
-    y_bar: float
-
-    def __post_init__(self):
-        if not (self.x0 < self.x_bar and self.y0 < self.y_bar):
-            raise ConfigSyntax("domain rectangle must have positive extent")
-
-
-@dataclass(frozen=True)
 class Coefficient:
     """A parsed coefficient expression with its fixed calling convention."""
 
@@ -95,50 +84,46 @@ class ReferenceEigenpair:
 
 
 @dataclass(frozen=True)
-class Model2D:
-    domain: Rectangle
-    mu: Coefficient
-    alpha: Coefficient
-    beta: Coefficient
-    gx: Coefficient
-    gy: Coefficient
-    reference: ReferenceEigenpair | None = None
+class Model:
+    """A model on a box with one ``(min, max)`` per axis: x, then y.
 
-    @property
-    def dimension(self) -> int:
-        return 2
+    ``mu`` is the mortality, ``beta`` the inflow kernel across the left
+    edge of x and ``alpha`` (2-D only) the one across the left edge of y;
+    ``gx`` and ``gy`` (2-D only) are the velocities.  A velocity that is
+    None is 1.
+    """
 
-
-@dataclass(frozen=True)
-class Model1D:
-    x0: float
-    x_bar: float
+    bounds: tuple[tuple[float, float], ...]
     mu: Coefficient
     beta: Coefficient
+    alpha: Coefficient | None = None
+    gx: Coefficient | None = None
+    gy: Coefficient | None = None
     reference: ReferenceEigenpair | None = None
 
     def __post_init__(self):
-        if not self.x0 < self.x_bar:
-            raise ConfigSyntax("interval must have positive extent")
+        if not all(lo < hi for lo, hi in self.bounds):
+            raise ConfigSyntax("every axis of the domain must have positive extent")
 
     @property
     def dimension(self) -> int:
-        return 1
+        return len(self.bounds)
 
 
-_ROLES_2D = {
-    "mu": ("x", "y"),
-    "alpha": ("x", "xi", "sigma"),
-    "beta": ("y", "xi", "sigma"),
-    "gx": ("x",),
-    "gy": ("y",),
-    "ref_phi": ("x", "y"),
+# Variables of each coefficient role, per dimension, in file order.
+_ROLES = {
+    1: {"mu": ("x",), "beta": ("x",), "ref_phi": ("x",)},
+    2: {
+        "mu": ("x", "y"),
+        "alpha": ("x", "xi", "sigma"),
+        "beta": ("y", "xi", "sigma"),
+        "gx": ("x",),
+        "gy": ("y",),
+        "ref_phi": ("x", "y"),
+    },
 }
-_ROLES_1D = {
-    "mu": ("x",),
-    "beta": ("x",),
-    "ref_phi": ("x",),
-}
+_DEFAULTS = {"gx": "1", "gy": "1"}
+_AXES = "xy"
 
 _NUMERIC_KEYS = ("dimension", "x_min", "x_max", "y_min", "y_max", "ref_lambda")
 _EXPR_KEYS = ("mu", "alpha", "beta", "gx", "gy", "ref_phi")
@@ -191,7 +176,19 @@ def _reference(entries, roles) -> ReferenceEigenpair | None:
     return ReferenceEigenpair(lam, phi, "model file")
 
 
-def load_model(config_text: str) -> Model2D | Model1D:
+def _model(bounds, ref=None, **sources: str) -> Model:
+    """The model on ``bounds`` from the sources of its dimension's
+    coefficient roles (other keys are ignored); gx and gy default to 1."""
+    sources = {**_DEFAULTS, **sources}
+    coefficients = {
+        role: coefficient(_require(sources, role), variables, role)
+        for role, variables in _ROLES[len(bounds)].items()
+        if role != "ref_phi"
+    }
+    return Model(tuple(bounds), reference=ref, **coefficients)
+
+
+def load_model(config_text: str) -> Model:
     """Parse the key = value model format (see the package docs).
 
     The dimension is taken from the ``dimension`` key when present and
@@ -201,55 +198,28 @@ def load_model(config_text: str) -> Model2D | Model1D:
     entries = _parse_lines(config_text)
     has_y = "y_min" in entries or "y_max" in entries
     dimension = int(_number(entries, "dimension")) if "dimension" in entries else (2 if has_y else 1)
-    if dimension not in (1, 2):
+    if dimension not in _ROLES:
         raise ConfigSyntax(f"dimension must be 1 or 2, got {dimension}")
-    if dimension == 1:
-        if has_y:
-            raise ConfigSyntax("y keys are not allowed when dimension = 1")
-        if "alpha" in entries or "gx" in entries or "gy" in entries:
-            raise ConfigSyntax("alpha/gx/gy are not allowed when dimension = 1")
-        return Model1D(
-            _number(entries, "x_min"),
-            _number(entries, "x_max"),
-            mu=coefficient(_require(entries, "mu"), _ROLES_1D["mu"], "mu"),
-            beta=coefficient(_require(entries, "beta"), _ROLES_1D["beta"], "beta"),
-            reference=_reference(entries, _ROLES_1D),
-        )
-    domain = Rectangle(
-        _number(entries, "x_min"),
-        _number(entries, "x_max"),
-        _number(entries, "y_min"),
-        _number(entries, "y_max"),
-    )
-    return Model2D(
-        domain,
-        mu=coefficient(_require(entries, "mu"), _ROLES_2D["mu"], "mu"),
-        alpha=coefficient(_require(entries, "alpha"), _ROLES_2D["alpha"], "alpha"),
-        beta=coefficient(_require(entries, "beta"), _ROLES_2D["beta"], "beta"),
-        gx=coefficient(entries.get("gx", "1"), _ROLES_2D["gx"], "gx"),
-        gy=coefficient(entries.get("gy", "1"), _ROLES_2D["gy"], "gy"),
-        reference=_reference(entries, _ROLES_2D),
-    )
+    axes = _AXES[:dimension]
+    roles = _ROLES[dimension]
+    bound_keys = [f"{v}_{end}" for v in axes for end in ("min", "max")]
+    allowed = {"dimension", "ref_lambda", *bound_keys, *roles}
+    stray = [key for key in entries if key not in allowed]
+    if stray:
+        raise ConfigSyntax(f"{', '.join(stray)} not allowed when dimension = {dimension}")
+    bounds = [(_number(entries, f"{v}_min"), _number(entries, f"{v}_max")) for v in axes]
+    return _model(bounds, _reference(entries, roles), **entries)
 
 
-def to_config(model: Model2D | Model1D) -> str:
+def to_config(model: Model) -> str:
     """Serialize a model back to the text format; reloading is lossless."""
     lines = [f"dimension = {model.dimension}"]
-    if model.dimension == 2:
-        lines.append(f"x_min = {model.domain.x0!r}")
-        lines.append(f"x_max = {model.domain.x_bar!r}")
-        lines.append(f"y_min = {model.domain.y0!r}")
-        lines.append(f"y_max = {model.domain.y_bar!r}")
-        lines.append(f'mu = "{expr.to_source(model.mu.ast)}"')
-        lines.append(f'alpha = "{expr.to_source(model.alpha.ast)}"')
-        lines.append(f'beta = "{expr.to_source(model.beta.ast)}"')
-        lines.append(f'gx = "{expr.to_source(model.gx.ast)}"')
-        lines.append(f'gy = "{expr.to_source(model.gy.ast)}"')
-    else:
-        lines.append(f"x_min = {model.x0!r}")
-        lines.append(f"x_max = {model.x_bar!r}")
-        lines.append(f'mu = "{expr.to_source(model.mu.ast)}"')
-        lines.append(f'beta = "{expr.to_source(model.beta.ast)}"')
+    for v, (lo, hi) in zip(_AXES, model.bounds):
+        lines.append(f"{v}_min = {lo!r}")
+        lines.append(f"{v}_max = {hi!r}")
+    for role in _ROLES[model.dimension]:
+        if role != "ref_phi":
+            lines.append(f'{role} = "{expr.to_source(getattr(model, role).ast)}"')
     if model.reference is not None:
         lines.append(f"ref_lambda = {model.reference.lam!r}")
         if model.reference.phi is not None:
@@ -263,18 +233,6 @@ def _norm_constant(f, x0, x1, y0, y1, degree=256) -> float:
     xg = rule.x_rule.nodes[:, None]
     yg = rule.y_rule.nodes[None, :]
     return cubature_rect(rule, f(xg, yg))
-
-
-def _model_2d(domain, mu, alpha, beta, gx="1", gy="1", ref=None) -> Model2D:
-    return Model2D(
-        Rectangle(*domain),
-        mu=coefficient(mu, _ROLES_2D["mu"], "mu"),
-        alpha=coefficient(alpha, _ROLES_2D["alpha"], "alpha"),
-        beta=coefficient(beta, _ROLES_2D["beta"], "beta"),
-        gx=coefficient(gx, _ROLES_2D["gx"], "gx"),
-        gy=coefficient(gy, _ROLES_2D["gy"], "gy"),
-        reference=ref,
-    )
 
 
 def _ref(lam: float, phi: str, note: str, variables=("x", "y")) -> ReferenceEigenpair:
@@ -297,62 +255,62 @@ def _registry() -> dict:
     )
     pi = float(np.pi)
     models = {
-        "ex1_1": _model_2d(
-            (0.0, 1.0, 0.0, 1.0),
+        "ex1_1": _model(
+            ((0.0, 1.0), (0.0, 1.0)),
             mu="1", alpha="1", beta="1",
             ref=_ref(-1.0, "1", "analytic"),
         ),
-        "ex1_2": _model_2d(
-            (pi / 6, pi / 2, pi / 6, pi / 4),
+        "ex1_2": _model(
+            ((pi / 6, pi / 2), (pi / 6, pi / 4)),
             mu="1",
             alpha=f"cos(x - pi/6) * {_GAMMA_12}",
             beta=f"cos(pi/6 - y) * {_GAMMA_12}",
             ref=_ref(-1.0, "cos(x - y)", "analytic"),
         ),
-        "ex1_3": _model_2d(
-            (0.0, 2.0, -1.0, 1.0),
+        "ex1_3": _model(
+            ((0.0, 2.0), (-1.0, 1.0)),
             mu="1",
             alpha="exp(x + 1) * 0.25 * exp(-xi + sigma)",
             beta="exp(-y) * 0.25 * exp(-xi + sigma)",
             ref=_ref(-1.0, "exp(x - y)", "analytic"),
         ),
-        "ex1_4": _model_2d(
-            (0.0, 2.0, 0.0, 1.0),
+        "ex1_4": _model(
+            ((0.0, 2.0), (0.0, 1.0)),
             mu="2*x + 1",
             alpha=f"exp(-x^2) * {gamma_14!r}",
             beta=f"exp(y) * {gamma_14!r}",
             ref=_ref(-2.0, "exp(-x^2 + y)", "analytic"),
         ),
-        "ex2_1": _model_2d(
-            (0.0, 1.0, 0.0, 2.0),
+        "ex2_1": _model(
+            ((0.0, 1.0), (0.0, 2.0)),
             mu="1",
             alpha="x^2 * abs(x) * (5/8)",
             beta="y^2 * abs(y) * (5/8)",
             ref=_ref(-1.0, "(x - y)^2 * abs(x - y)", "C2"),
         ),
-        "ex2_2": _model_2d(
-            (0.0, 1.0, 0.0, 2.0),
+        "ex2_2": _model(
+            ((0.0, 1.0), (0.0, 2.0)),
             mu="1",
             alpha="-x * abs(x) * (6/7)",
             beta="y * abs(y) * (6/7)",
             ref=_ref(-1.0, "(x - y) * abs(x - y)", "C1"),
         ),
-        "ex2_3": _model_2d(
-            (0.0, 1.0, 0.0, 2.0),
+        "ex2_3": _model(
+            ((0.0, 1.0), (0.0, 2.0)),
             mu="1",
             alpha="abs(x) * (3/4)",
             beta="abs(y) * (3/4)",
             ref=_ref(-1.0, "abs(x - y)", "C0"),
         ),
-        "ex2_4": _model_2d(
-            (0.0, 1.0, 0.0, 2.0),
+        "ex2_4": _model(
+            ((0.0, 1.0), (0.0, 2.0)),
             mu="1",
             alpha="step(x) * 2",
             beta="step(-y) * 2",
             ref=_ref(-1.0, "step(x - y)", "discontinuous"),
         ),
-        "velocity": _model_2d(
-            (0.5, 1.5, 0.5, 2.0),
+        "velocity": _model(
+            ((0.5, 1.5), (0.5, 2.0)),
             mu="y^3 - 2*x^2 - y + 4",
             alpha=f"exp(x^2 - 0.25) * {1.0 / (8.0 * c_vel)!r}",
             beta=f"exp(-y^2 + 0.25) * {1.0 / (2.0 * c_vel)!r}",
@@ -360,12 +318,11 @@ def _registry() -> dict:
             gy="y^2 / 2",
             ref=_ref(-5.0, "exp(x^2 - y^2)", "analytic, nontrivial velocities"),
         ),
-        "appendix1d": Model1D(
-            0.0,
-            2.0,
-            mu=coefficient("1", _ROLES_1D["mu"], "mu"),
-            beta=coefficient("exp(-x)", _ROLES_1D["beta"], "beta"),
-            reference=_ref(
+        "appendix1d": _model(
+            ((0.0, 2.0),),
+            mu="1",
+            beta="exp(-x)",
+            ref=_ref(
                 APPENDIX_1D_LAMBDA,
                 f"exp({-(1.0 + APPENDIX_1D_LAMBDA)!r} * x)",
                 "analytic",

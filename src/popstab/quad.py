@@ -52,16 +52,13 @@ def cc_weights(grid: ChebGrid) -> CCRule:
         w = np.array([1.0, 1.0]) * (grid.b - grid.a) / 2.0
         return CCRule(grid, w)
     theta = np.pi * np.arange(1, n) / n
-    v = np.ones(n - 1)
+    k = np.arange(1, (n + 1) // 2)
+    v = 1.0 - np.cos(np.outer(theta, 2.0 * k)) @ (2.0 / (4.0 * k * k - 1.0))
     if n % 2 == 0:
         end = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2.0 * k * theta) / (4.0 * k * k - 1.0)
         v -= np.cos(n * theta) / (n * n - 1.0)
     else:
         end = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * theta) / (4.0 * k * k - 1.0)
     w = np.empty(n + 1)
     w[0] = w[n] = end
     w[1:n] = 2.0 * v / n

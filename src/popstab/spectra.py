@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import Axis, GeneratorMatrix, assemble
 from .grid import cheb_grid, interp_matrix
 from .linalg import Eigenvectors, NoConvergence, SingularMatrix, eigenvalues, norm_inf
-from .model import Model1D, Model2D, NonpositiveVelocity, ReferenceEigenpair
+from .model import Model, NonpositiveVelocity, ReferenceEigenpair
 from .quad import CCRule, cc_weights
 
 
@@ -213,7 +213,7 @@ def stability_verdict(abscissa: float, tol: float) -> Verdict:
 
 
 def convergence_sweep(
-    model: Model2D | Model1D,
+    model: Model,
     reference: ReferenceEigenpair | None,
     n_list,
     oversample: int = 2,
@@ -228,6 +228,7 @@ def convergence_sweep(
         raise MissingReference("convergence sweeps need a reference eigenpair")
     records = []
     for n in n_list:
+        m = dict(zip("nm", [n] * model.dimension)).get("m")  # None in 1-D
         start = time.perf_counter()
         try:
             generator = assemble(model, n, oversample=oversample)
@@ -236,7 +237,7 @@ def convergence_sweep(
             records.append(
                 ConvergenceRecord(
                     n=n,
-                    m=generator.m,
+                    m=m,
                     eps_lambda=eps_lambda,
                     eps_phi=eps_phi,
                     lam=report.matched,
@@ -249,7 +250,7 @@ def convergence_sweep(
             records.append(
                 ConvergenceRecord(
                     n=n,
-                    m=None if isinstance(model, Model1D) else n,
+                    m=m,
                     eps_lambda=float("nan"),
                     eps_phi=float("nan"),
                     lam=None,

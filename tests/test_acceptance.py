@@ -230,8 +230,8 @@ def test_criterion_7_structural_identities():
     for name, (n, m) in (("ex1_3", (6, 5)), ("ex2_4", (5, 5))):
         model, _ = builtin(name)
         axes = collocation_grids(model, n, m)
-        a_block = assemble_boundary(model, axes, "x")
-        b_block = assemble_boundary(model, axes, "y")
+        a_block = assemble_boundary(model, axes, 1)
+        b_block = assemble_boundary(model, axes, 0)
         for k in range(n):
             for l in range(1, m):
                 if not np.array_equal(a_block[k * m + l], a_block[k * m]):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from popstab.assembly import (
+    assemble,
     assemble_1d,
     assemble_2d,
     assemble_boundary,
@@ -72,7 +73,7 @@ def test_mortality_action_exact_on_compatible_degrees():
 def test_boundary_block_zero_kernel_exact():
     model = load(ZERO_2D)
     axes = collocation_grids(model, 3, 4)
-    a_block = assemble_boundary(model, axes, "x")
+    a_block = assemble_boundary(model, axes, 1)
     assert np.array_equal(a_block, np.zeros((12, 12)))
 
 
@@ -87,15 +88,15 @@ def test_boundary_block_ex11_symbolic_oracle():
     for k in range(2):
         for l in range(2):
             expected[k * 2 + l, 1 * 2 + 1] = xs[k]
-    assert np.max(np.abs(assemble_boundary(model, axes, "x") - expected)) <= 1e-10
+    assert np.max(np.abs(assemble_boundary(model, axes, 1) - expected)) <= 1e-10
 
 
 def test_boundary_rows_replicate_bitwise():
     model, _ = builtin("ex1_3")
     n, m = 5, 4
     axes = collocation_grids(model, n, m)
-    a_block = assemble_boundary(model, axes, "x")
-    b_block = assemble_boundary(model, axes, "y")
+    a_block = assemble_boundary(model, axes, 1)
+    b_block = assemble_boundary(model, axes, 0)
     for k in range(n):
         for l in range(1, m):
             assert np.array_equal(a_block[k * m + l], a_block[k * m])
@@ -126,7 +127,7 @@ def test_oversample_insensitive_for_smooth_kernels():
     for name in ("ex1_3", "ex1_4", "velocity"):
         model, _ = builtin(name)
         axes = collocation_grids(model, 10, 10)
-        for axis in ("x", "y"):
+        for axis in (1, 0):
             low = assemble_boundary(model, axes, axis, oversample=2)
             high = assemble_boundary(model, axes, axis, oversample=4)
             assert np.max(np.abs(low - high)) <= 1e-8
@@ -136,9 +137,9 @@ def test_oversample_validation():
     model, _ = builtin("ex1_1")
     axes = collocation_grids(model, 2, 2)
     with pytest.raises(ValueError):
-        assemble_boundary(model, axes, "x", oversample=0)
+        assemble_boundary(model, axes, 1, oversample=0)
     with pytest.raises(ValueError):
-        assemble_boundary(model, axes, "z")
+        assemble_boundary(model, axes, 2)
 
 
 def test_ex11_eigenvalue_machine_precision_at_degree_two():
@@ -186,6 +187,12 @@ def test_1d_appendix_eigenvalue():
     assert abs(nearest - ref.lam) <= 1e-10
 
 
+def test_1d_model_takes_no_m():
+    model, _ = builtin("appendix1d")
+    with pytest.raises(ValueError):
+        assemble(model, 4, 9)
+
+
 def test_generator_matrix_is_finite():
     for name in ("ex2_4", "velocity"):
         model, _ = builtin(name)
@@ -193,15 +200,28 @@ def test_generator_matrix_is_finite():
         assert np.all(np.isfinite(gen.matrix))
 
 
+# a 1-D model file with a nonconstant mu and beta
+FILE_1D = 'x_min = 0.5\nx_max = 2\nmu = "x^2 + 1"\nbeta = "sin(3*x) + 2"\n'
+
+
 def _kron_reference(model, n, m, oversample=2):
     """The generator and its mortality block, built with explicit nm x nm
-    Kronecker factors from the formula in the assembly module docstring."""
+    Kronecker factors from the formula in the assembly module docstring
+    (in 1-D, at degree n: -D + 1 (w beta)^T E D - D^{-1} diag(mu) D)."""
+    if model.dimension == 1:
+        (ax,) = collocation_grids(model, n)
+        rule = cc_weights(cheb_grid(*model.bounds[0], oversample * n))
+        beta_w = rule.weights * np.broadcast_to(model.beta(rule.nodes), rule.nodes.shape)
+        renewal = beta_w @ interp_matrix(ax.theta, rule.nodes) @ ax.d
+        mu = np.broadcast_to(model.mu(ax.theta), (n,))
+        m_block = np.linalg.solve(ax.d, mu[:, None] * ax.d)
+        return -ax.d + np.outer(np.ones(n), renewal) - m_block, m_block
     ax, ay = collocation_grids(model, n, m)
     dx, dy = ax.d, ay.d
     tx, ty = ax.theta, ay.theta
-    dom = model.domain
-    x_rule = cc_weights(cheb_grid(dom.x0, dom.x_bar, oversample * n))
-    y_rule = cc_weights(cheb_grid(dom.y0, dom.y_bar, oversample * m))
+    (x0, x_bar), (y0, y_bar) = model.bounds
+    x_rule = cc_weights(cheb_grid(x0, x_bar, oversample * n))
+    y_rule = cc_weights(cheb_grid(y0, y_bar, oversample * m))
     xi, sigma = x_rule.nodes, y_rule.nodes
     interp = np.kron(interp_matrix(tx, xi), interp_matrix(ty, sigma))
     mixed = np.kron(dx, dy)
@@ -227,11 +247,9 @@ def _kron_reference(model, n, m, oversample=2):
 
 @pytest.mark.parametrize("n, m", [(7, 5), (10, 10)])
 def test_per_axis_assembly_matches_kronecker_reference(n, m):
-    for name in BUILTIN_NAMES:
-        model, _ = builtin(name)
-        if model.dimension != 2:
-            continue
-        gen = assemble_2d(model, n, m)
+    models = [(name, builtin(name)[0]) for name in BUILTIN_NAMES]
+    for name, model in models + [("1-D model file", load(FILE_1D))]:
+        gen = assemble(model, n, m if model.dimension == 2 else None)
         matrix, m_block = _kron_reference(model, n, m)
         tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
         assert np.max(np.abs(gen.matrix - matrix)) <= tol, name

@@ -193,8 +193,10 @@ def test_nonpositive_integer_arguments_exit_two(capsys, argv):
          "--tol must be nonnegative"),
         (("converge", "--model", "builtin:ex1_1", "--n-min", "5", "--n-max", "3"),
          "--n-min must not exceed --n-max"),
+        (("spectrum", "--model", "builtin:appendix1d", "--n", "4", "--m", "9"),
+         "--m needs a 2-D model"),
     ],
-    ids=["negative-tol", "empty-degree-range"],
+    ids=["negative-tol", "empty-degree-range", "m-on-1d-model"],
 )
 def test_out_of_range_options_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -10,8 +10,7 @@ from popstab.model import (
     BUILTIN_NAMES,
     ConfigSyntax,
     MissingKey,
-    Model1D,
-    Model2D,
+    Model,
     UnknownExample,
     VariableMismatch,
     builtin,
@@ -105,12 +104,7 @@ REF_LAMBDA = {
 
 
 def _domain_points(model, rng, count=100):
-    if model.dimension == 1:
-        return rng.uniform(model.x0, model.x_bar, size=(count, 1))
-    d = model.domain
-    xs = rng.uniform(d.x0, d.x_bar, size=count)
-    ys = rng.uniform(d.y0, d.y_bar, size=count)
-    return np.column_stack([xs, ys])
+    return np.column_stack([rng.uniform(a, b, size=count) for a, b in model.bounds])
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -128,10 +122,10 @@ def test_registry_fidelity(name):
                 scale = max(1.0, abs(want))
                 assert abs(coef(x) - want) <= 1e-14 * scale, (name, role)
     if model.dimension == 2:
-        d = model.domain
+        (x0, x_bar), (y0, y_bar) = model.bounds
         for x, y in pts:
-            xi = rng.uniform(d.x0, d.x_bar)
-            sg = rng.uniform(d.y0, d.y_bar)
+            xi = rng.uniform(x0, x_bar)
+            sg = rng.uniform(y0, y_bar)
             checks = [
                 (model.mu(x, y), hand["mu"](x, y)),
                 (model.alpha(x, xi, sg), hand["alpha"](x, xi, sg)),
@@ -147,8 +141,7 @@ def test_registry_fidelity(name):
 
 def test_builtin_table_rows():
     model, ref = builtin("ex1_3")
-    d = model.domain
-    assert (d.x0, d.x_bar, d.y0, d.y_bar) == (0.0, 2.0, -1.0, 1.0)
+    assert model.bounds == ((0.0, 2.0), (-1.0, 1.0))
     assert model.mu.is_constant and model.mu(0.0, 0.0) == 1.0
     assert ref.lam == -1.0
     assert ref.phi(1.3, 0.4) == pytest.approx(math.exp(0.9), rel=1e-15)
@@ -159,7 +152,7 @@ def test_builtin_table_rows():
     assert ref.lam == -1.0
 
     model, ref = builtin("appendix1d")
-    assert (model.x0, model.x_bar) == (0.0, 2.0)
+    assert model.bounds == ((0.0, 2.0),)
     assert model.mu(1.0) == 1.0
     assert model.beta(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert ref.lam == APPENDIX_1D_LAMBDA
@@ -205,7 +198,7 @@ ref_phi = "1"
 
 def test_load_model_2d():
     model = load_model(EX11_CONFIG)
-    assert isinstance(model, Model2D)
+    assert isinstance(model, Model) and model.dimension == 2
     assert model.mu(0.3, 0.7) == 1.0
     assert model.gx(0.5) == 1.0  # documented default
     assert model.gy(0.5) == 1.0
@@ -214,7 +207,7 @@ def test_load_model_2d():
 
 def test_load_model_1d_inferred():
     model = load_model('x_min = 0\nx_max = 2\nmu = "1"\nbeta = "exp(-x)"\n')
-    assert isinstance(model, Model1D)
+    assert isinstance(model, Model) and model.dimension == 1
     assert model.beta(1.0) == pytest.approx(math.exp(-1.0))
     assert model.reference is None
 
@@ -252,10 +245,10 @@ def test_loader_round_trip():
                 assert reloaded.mu(x) == model.mu(x)
                 assert reloaded.beta(x) == model.beta(x)
         else:
-            d = model.domain
+            (x0, x_bar), (y0, y_bar) = model.bounds
             for x, y in pts:
-                xi = rng.uniform(d.x0, d.x_bar)
-                sg = rng.uniform(d.y0, d.y_bar)
+                xi = rng.uniform(x0, x_bar)
+                sg = rng.uniform(y0, y_bar)
                 assert reloaded.mu(x, y) == model.mu(x, y)
                 assert reloaded.alpha(x, xi, sg) == model.alpha(x, xi, sg)
                 assert reloaded.beta(y, xi, sg) == model.beta(y, xi, sg)

@@ -30,6 +30,29 @@ def test_weights_strictly_positive():
         assert np.all(rule.weights > 0)
 
 
+def _loop_weights(n):
+    """Clenshaw-Curtis weights on [-1, 1] by the cosine sum, one term at a
+    time (the reference for the vectorized sum)."""
+    theta = np.pi * np.arange(1, n) / n
+    v = np.ones(n - 1)
+    for k in range(1, (n + 1) // 2):
+        v -= 2.0 * np.cos(2.0 * k * theta) / (4.0 * k * k - 1.0)
+    end = 1.0 / (n * n)
+    if n % 2 == 0:
+        v -= np.cos(n * theta) / (n * n - 1.0)
+        end = 1.0 / (n * n - 1)
+    return np.concatenate([[end], 2.0 * v[::-1] / n, [end]])
+
+
+def test_weights_match_term_by_term_sum():
+    # the vectorized sum adds the same terms in another order: n terms of
+    # rounding, so n * eps relative to the largest weight
+    for n in range(2, 200):
+        got = cc_weights(cheb_grid(-1.0, 1.0, n)).weights
+        want = _loop_weights(n)
+        assert np.max(np.abs(got - want)) <= n * np.finfo(float).eps * np.max(want), n
+
+
 @pytest.mark.parametrize("a,b,n", [(0.0, 1.0, 4), (-2.0, 1.0, 7), (0.0, 3.0, 10)])
 def test_polynomial_exactness_up_to_degree(a, b, n):
     rule = cc_weights(cheb_grid(a, b, n))
