@@ -33,10 +33,10 @@ integrate along, and M = D^{-1} diag(mu) D, so
 No nm x nm Kronecker factor is formed: products with E_x (x) E_y and
 D_x (x) D_y act per axis on the (n, m) tensor of a row, and
 (D_x (x) D_y)^{-1} = D_x^{-1} (x) D_y^{-1} turns the mortality solve into
-one solve per axis.  Cumulative integrals are factorization solves with
-the trimmed matrices (inverses are never formed).  Each block is added to
-the matrix as soon as it is made, so the generator is the only nm x nm
-array that outlives assembly.
+one solve per axis.  Cumulative integrals are solves with the LU factors
+of the trimmed matrices, made once per axis (inverses are never formed).
+Each block is added to the matrix as soon as it is made, so the generator
+is the only nm x nm array that outlives assembly.
 
 Coefficient samples that are undefined (log or sqrt outside their domain)
 or not finite raise :class:`InvalidSample`, naming the coefficient and the
@@ -47,21 +47,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .expr import DomainError
 from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
-from .linalg import lu_solve
+from .linalg import lu_factor, lu_solve
 from .model import InvalidSample, Model, NonpositiveVelocity
 from .quad import CCRule, cc_weights
 
 
 @dataclass(frozen=True)
 class Axis:
-    """One collocation axis: its Chebyshev grid and trimmed D."""
+    """One collocation axis: its Chebyshev grid, trimmed D and (as ``lu``,
+    made on first use) the pivoted LU factors of D."""
 
     grid: ChebGrid
     d: np.ndarray
@@ -84,6 +85,8 @@ class Axis:
             rule = cc_weights(cheb_grid(self.grid.a, self.grid.b, oversample * self.n))
             self._cubatures[oversample] = rule, interp_matrix(self.theta, rule.nodes)
         return self._cubatures[oversample]
+
+    lu = cached_property(lambda self: lu_factor(self.d))
 
 
 def collocation_axis(a: float, b: float, n: int) -> Axis:
@@ -167,7 +170,7 @@ def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
     # each solve acts on the leading index and moves it last, so after the
     # last one t is [i', ..., i, ...]
     for ax in axes:
-        t = lu_solve(ax.d, t.reshape(ax.n, -1)).T
+        t = lu_solve(ax.lu, t.reshape(ax.n, -1)).T
     return t.reshape(mu.size, mu.size).T
 
 
@@ -214,7 +217,7 @@ def assemble_boundary(
         t = t @ last
     dim = math.prod(ax.n for ax in axes)
     for ax in others:
-        t = lu_solve(ax.d, t.reshape(ax.n, dim))
+        t = lu_solve(ax.lu, t.reshape(ax.n, dim))
     shape = [ax.n for ax in axes]
     shape[axis] = 1
     block = np.broadcast_to(t.reshape(*shape, dim), (*(ax.n for ax in axes), dim))

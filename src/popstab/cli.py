@@ -6,7 +6,7 @@
 
 Models are either ``builtin:<name>`` or a path to a model file (see the
 model module for the format).  Exit codes: 0 success, 2 configuration or
-parse error, 3 numerical failure.
+parse error, 3 numerical failure (running out of memory included).
 """
 
 from __future__ import annotations
@@ -352,6 +352,9 @@ def main(argv=None) -> int:
         return 2
     except NUMERICAL_ERRORS as exc:
         print(f"popstab: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"popstab: numerical failure: out of memory {exc}".rstrip(), file=sys.stderr)
         return 3
 
 

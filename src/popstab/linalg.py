@@ -4,8 +4,9 @@ Thin contracts over LAPACK (via scipy): factorization-based solves with a
 relative pivot guard and the nonsymmetric dense eigensolver (balancing +
 Hessenberg reduction + QR, which is what *geev performs).  Eigenvalues can
 be computed alone, with each right eigenvector computed afterwards by
-inverse iteration when it is needed.  Matrices are plain float64 2-D numpy
-arrays.
+inverse iteration when it is needed.  From dimension BALANCE_MIN_DIM on,
+:func:`balance` does geev's balancing first (xGEBAL's strided row norms took
+4.3 s at dimension 2304).  Matrices are plain float64 2-D numpy arrays.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve A X = B by pivoted LU; B may be a vector or a matrix."""
-    factors = lu_factor(a)
+    """Solve A X = B by pivoted LU, A given or as its lu_factor factors."""
+    factors = a if isinstance(a, tuple) else lu_factor(a)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factors[0].shape[0]:
         raise ValueError("right-hand side rows must match the matrix")
@@ -107,14 +108,47 @@ def eigen_dense(m) -> EigenDecomposition:
     return EigenDecomposition(values, _canonicalize(vectors))
 
 
+# From this dimension on, balance() runs before geev (it is slower below ~170).
+BALANCE_MIN_DIM = 256
+BALANCE_SWEEPS = 64  # then geev gets the scaling found so far
+
+
+def balance(a) -> tuple[np.ndarray, np.ndarray]:
+    """xGEBAL's diagonal scaling of ``a``, without permutation: (D^-1 a D, d),
+    exact with d of powers of two, the matrix in Fortran order.  Each sweep
+    rescales every index at once, from norms taken as products with a**2;
+    zero rows or columns, and scales beyond 2^±500, are left alone."""
+    with np.errstate(all="ignore"):
+        b, e = np.square(a, order="F"), np.zeros(len(a), dtype=int)
+        for _ in range(BALANCE_SWEEPS):
+            d2 = np.ldexp(1.0, 2 * e)
+            c, r = np.sqrt(d2 * (b.T @ (1 / d2))), np.sqrt(b @ d2 / d2)
+            lg = np.log2(r / c)
+            # f = 2^k with r / 2 <= c 4^k < 2 r, kept if c f + r / f < 0.95 (c + r)
+            k = np.ceil((np.where(np.isfinite(lg), lg, 1.0) - 1) / 2).astype(int)
+            k = k + (np.ldexp(c, 2 * k + 1) < r) - (np.ldexp(c, 2 * k - 1) >= r)
+            step = np.isfinite(lg) & (np.abs(e + k) <= 500)
+            step &= np.ldexp(c, k) + np.ldexp(r, -k) < 0.95 * (c + r)
+            if not step.any():
+                break
+            e[step] += k[step]
+        d = np.ldexp(1.0, e)
+        np.multiply(a, d, out=b)
+        b /= d[:, None]
+    return b, d
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
     The same *geev driver as :func:`eigen_dense`, asked for no vectors.
+    From BALANCE_MIN_DIM on it gets the copy that :func:`balance` scales.
     """
     m = as_matrix(m)
+    own = len(m) >= BALANCE_MIN_DIM
     try:
-        return scipy.linalg.eig(m, right=False, check_finite=False)
+        m = balance(m)[0] if own else m
+        return scipy.linalg.eig(m, right=False, check_finite=False, overwrite_a=own)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 

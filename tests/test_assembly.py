@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from popstab import assembly
 from popstab.assembly import (
     assemble,
     assemble_1d,
@@ -254,6 +255,18 @@ def test_per_axis_assembly_matches_kronecker_reference(n, m):
         tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
         assert np.max(np.abs(gen.matrix - matrix)) <= tol, name
         assert np.max(np.abs(assemble_mortality(model, gen.axes) - m_block)) <= tol, name
+
+
+def test_each_trimmed_d_is_factored_once(monkeypatch):
+    # ex1_4 has a non-constant mu: both boundary blocks and the mortality
+    # block solve with the trimmed D of each axis
+    factor = assembly.lu_factor
+    factored = []
+    monkeypatch.setattr(assembly, "lu_factor", lambda a: factored.append(a) or factor(a))
+    gen = assemble(builtin("ex1_4")[0], 6, 5)
+    assert len(factored) == 2
+    for a, ax in zip(factored, gen.axes):
+        assert np.array_equal(a, ax.d)
 
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex1_4"])

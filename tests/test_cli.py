@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from popstab import cli
 from popstab.cli import main
 
 EX11_CONFIG = """
@@ -62,6 +63,28 @@ def test_spectrum_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--model", str(bad), "--n", "4")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "message",
+    ["Unable to allocate 335. GiB for an array with shape (299999, 149999)", ""],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_three(monkeypatch, capsys, message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    # stands in for the allocation that --oversample 100000 asks for
+    monkeypatch.setattr(cli, "assemble", no_memory)
+    code, out, err = run(
+        capsys, "spectrum", "--model", "builtin:ex1_1", "--n", "3", "--oversample", "100000"
+    )
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "out of memory" in lines[0]
+    assert message in lines[0]
 
 
 def test_spectrum_default_m_matches_n(capsys):

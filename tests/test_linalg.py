@@ -1,13 +1,23 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
+from popstab.assembly import assemble
 from popstab.linalg import (
+    BALANCE_MIN_DIM,
     NoConvergence,
     SingularMatrix,
+    balance,
     eigen_dense,
+    eigenvalues,
     lu_solve,
     norm_inf,
 )
+from popstab.model import BUILTIN_NAMES, builtin
 
 
 def test_identity_solve():
@@ -150,3 +160,68 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
     assert isinstance(NoConvergence("x"), ArithmeticError)
+
+
+def _builtin_generators(degree, dimension=None):
+    for name in BUILTIN_NAMES:
+        model = builtin(name)[0]
+        if dimension in (None, model.dimension):
+            yield name, assemble(model, degree).matrix
+
+
+@pytest.mark.parametrize("degree", [7, 16])
+def test_balance_scale_is_xgebal_scale_on_builtins(degree):
+    # 2-D generators of degree 7 lie below BALANCE_MIN_DIM, of degree 16 not
+    assert 7 ** 2 < BALANCE_MIN_DIM <= 16 ** 2
+    for name, g in _builtin_generators(degree):
+        _, ilo, ihi, scale, info = lapack.dgebal(g, permute=1, scale=1)
+        assert (info, ilo, ihi) == (0, 0, g.shape[0] - 1), name
+        b, d = balance(g)
+        assert np.array_equal(d, scale), name
+        assert b.flags.f_contiguous
+        assert np.array_equal(b, g / d[:, None] * d), name
+
+
+def test_prebalanced_eigenvalues_bitwise_equal_on_2d_builtins():
+    for name, g in _builtin_generators(16, dimension=2):
+        assert g.shape[0] >= BALANCE_MIN_DIM
+        before = g.copy()
+        assert np.array_equal(eigenvalues(g), scipy.linalg.eigvals(g)), name
+        assert np.array_equal(g, before), name
+
+
+def test_balance_undoes_a_power_of_two_conjugation():
+    rng = np.random.default_rng(11)
+    p = np.ldexp(1.0, rng.integers(-20, 21, 300))
+    a = rng.standard_normal((300, 300)) * p / p[:, None]
+    b, _ = balance(a)
+    _, ilo, ihi, scale, info = lapack.dgebal(b, permute=1, scale=1)
+    assert (info, ilo, ihi) == (0, 0, 299)
+    assert np.all(scale == 1.0)
+
+
+def test_zero_row_and_column_are_skipped_without_warning():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((BALANCE_MIN_DIM + 8,) * 2)
+    a[5] = 0.0
+    a[:, 9] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, d = balance(a)
+        got = eigenvalues(a)
+    assert d[5] == d[9] == 1.0
+    want = scipy.linalg.eigvals(a)
+    assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) <= 1e-10 * norm_inf(a)
+
+
+def test_prebalanced_eigenvalues_allocate_one_matrix():
+    dim = 2 * BALANCE_MIN_DIM
+    a = np.random.default_rng(13).standard_normal((dim, dim))
+    tracemalloc.start()
+    try:
+        eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dim^2 float64 copy, plus geev's workspace and the vectors
+    assert peak <= 1.25 * a.nbytes
