@@ -1,46 +1,40 @@
 """Assembly of the discretized generator matrices.
 
 A model is collocated on one :class:`Axis` per structuring variable: the
-Chebyshev grid of the axis and its trimmed differentiation matrix D (the
+Chebyshev grid of the axis and its trimmed differentiation matrix D_k (the
 left-endpoint row and column carry zero boundary values and are dropped).
 The matrix acts on values of the integrated state at the inner tensor
-grid.  In 2-D it is
+grid.  It is a Kronecker sum of per-axis blocks plus boundary rows:
 
-    generator = -Gx.Dx - Gy.Dy + A + B - M
+    generator = -(P_x (x) I) - (I (x) P_y) + R_x V_alpha + R_y V_beta
+    P_k = diag(g_k) D_k + M_k,   M_k = D_k^{-1} diag(f_k) D_k
+    V_alpha = D_x^{-1} K_alpha (E_x (x) E_y) (D_x (x) D_y)   (n rows)
+    V_beta  = D_y^{-1} K_beta (E_x (x) E_y) (D_x (x) D_y)    (m rows)
 
-where Dx = D_x (x) I, Dy = I (x) D_y are Kronecker lifts of the trimmed
-differentiation matrices, Gx, Gy sample the velocities at the inner
-nodes, the boundary blocks A and B integrate the kernels against the
-mixed derivative of the interpolant, and M applies mortality inside the
-double cumulative integral:
+g_k samples the velocity along axis k at the inner nodes.  K_alpha and
+K_beta hold the kernel-weighted tensor Clenshaw-Curtis cubature at the
+inner nodes of the other axis (alpha is the inflow across the left edge
+of y, beta the one across the left edge of x), E_x and E_y interpolate from
+the inner nodes to the cubature nodes, and R_x = I_n (x) 1_m and
+R_y = 1_n (x) I_m replicate the rows: the boundary term has rank <= n + m.
 
-    A = R_x D_x^{-1} K_alpha (E_x (x) E_y) (D_x (x) D_y)
-    B = R_y D_y^{-1} K_beta (E_x (x) E_y) (D_x (x) D_y)
-    M = (D_x (x) D_y)^{-1} diag(mu) (D_x (x) D_y)
+mu = f_x(x) + f_y(y) is split on the inner grid: f_k is the slice of mu
+along axis k at the first node of the other axes, less (K - 1) / K times
+the corner value (K axes), and the split holds when mu - sum f_k is within
+SEPARABLE_RTOL max|mu|.  A part constant on the grid gives f_k I exactly.
+A mu that is not separable instead keeps the whole block
+(D_x (x) D_y)^{-1} diag(mu) (D_x (x) D_y), one solve along each axis of the
+(n, m, n, m) tensor, subtracted after the boundary rows.  A 1-D model is
+the one-axis case: generator = -D - D^{-1} diag(mu) D + 1 (w beta)^T E D.
 
-K_alpha (n rows) and K_beta (m rows) hold the kernel-weighted tensor
-Clenshaw-Curtis cubature at the inner nodes of the other axis (alpha is
-the inflow across the left edge of y, beta the one across the left edge
-of x), E_x and E_y interpolate from the inner nodes to the cubature
-nodes, and R_x = I_n (x) 1_m and R_y = 1_n (x) I_m replicate the rows.
-
-A 1-D model is the one-axis case of the same construction: one lift -D
-(velocity 1), one boundary block 1 (w beta)^T E D with no other axis to
-integrate along, and M = D^{-1} diag(mu) D, so
-
-    generator = -D + 1 (w beta)^T E D - D^{-1} diag(mu) D.
-
-No nm x nm Kronecker factor is formed: products with E_x (x) E_y and
-D_x (x) D_y act per axis on the (n, m) tensor of a row, and
-(D_x (x) D_y)^{-1} = D_x^{-1} (x) D_y^{-1} turns the mortality solve into
-one solve per axis.  Cumulative integrals are solves with the LU factors
-of the trimmed matrices, made once per axis (inverses are never formed).
-Each block is added to the matrix as soon as it is made, so the generator
-is the only nm x nm array that outlives assembly.
-
-Coefficient samples that are undefined (log or sqrt outside their domain)
-or not finite raise :class:`InvalidSample`, naming the coefficient and the
-first such sample point.
+The generator is the only nm x nm array formed: each P_k is written into
+a strided view of the diagonal blocks, each row factor is added through a
+broadcast view of the matrix, and products with E_x (x) E_y and
+D_x (x) D_y act per axis on the (n, m) tensor of a row.  Cumulative
+integrals are solves with the LU factors of the trimmed matrices, made
+once per axis.  Coefficient samples that are undefined (log or sqrt
+outside their domain) or not finite raise :class:`InvalidSample`, naming
+the coefficient and the first such sample point.
 """
 
 from __future__ import annotations
@@ -57,6 +51,10 @@ from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
 from .linalg import lu_factor, lu_solve
 from .model import InvalidSample, Model, NonpositiveVelocity
 from .quad import CCRule, cc_weights
+
+
+class GeneratorOverflow(ArithmeticError):
+    """The generator has entries beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -148,19 +146,25 @@ def _samples(coef, name: str, *points) -> np.ndarray:
     return values
 
 
-def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
-    """The mortality block: cumulative integral, along every axis, of mu
-    times the derivative along every axis.
+# mu is split per axis when mu - sum f_k is within this fraction of max|mu|.
+SEPARABLE_RTOL = 1e-14
 
-    Realized as D^{-1} diag(mu) D on the inner grid, with D = D_x (x) D_y
-    in 2-D and D = D_x in 1-D, by one solve along each axis of the
-    [i, ..., i', ...] tensor.  A constant mu short-circuits to mu * I,
-    which is the exact value of the block in that case.
-    """
+
+def _mortality(model: Model, axes: tuple[Axis, ...]):
+    """The per-axis blocks M_k of the split of mu and None, or, when mu is
+    not separable, zeros and the whole mortality block."""
     mu = _samples(model.mu, "mu", *np.ix_(*(ax.theta for ax in axes)))
-    if model.mu.is_constant:
-        return float(mu.flat[0]) * np.eye(mu.size)
     k = len(axes)
+    parts = [
+        mu[tuple(slice(None) if i == j else 0 for i in range(k))] - (k - 1) / k * mu.flat[0]
+        for j in range(k)
+    ]
+    residual = mu - reduce(np.add.outer, parts)
+    if k == 1 or np.abs(residual).max() <= SEPARABLE_RTOL * np.abs(mu).max():
+        return [
+            f[0] * np.eye(ax.n) if (f == f[0]).all() else lu_solve(ax.lu, f[:, None] * ax.d)
+            for f, ax in zip(parts, axes)
+        ], None
     # diag(mu) D as t[i, ..., i', ...]
     t = mu.reshape(mu.shape + (1,) * k)
     for j, ax in enumerate(axes):
@@ -171,29 +175,37 @@ def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
     # last one t is [i', ..., i, ...]
     for ax in axes:
         t = lu_solve(ax.lu, t.reshape(ax.n, -1)).T
-    return t.reshape(mu.size, mu.size).T
+    return [0.0] * k, t.reshape(mu.size, mu.size).T
+
+
+def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
+    """The mortality block: cumulative integral, along every axis, of mu
+    times the derivative along every axis, D^{-1} diag(mu) D with
+    D = D_x (x) D_y.  For a separable mu, the lifts of the blocks M_k."""
+    parts, block = _mortality(model, axes)
+    if block is None:
+        block = np.zeros((math.prod(ax.n for ax in axes),) * 2)
+        _add_lifts(block, parts)
+    return block
 
 
 # The inflow kernel across the left edge of each axis.
 _KERNELS = ("beta", "alpha")
 
 
-def assemble_boundary(
-    model: Model,
-    axes: tuple[Axis, ...],
-    axis: int,
-    oversample: int = 2,
+def _boundary_rows(
+    model: Model, axes: tuple[Axis, ...], axis: int, oversample: int
 ) -> np.ndarray:
-    """Boundary block of the inflow across the left edge of ``axes[axis]``
-    (beta for x, alpha for y).
+    """The row factor of the inflow across the left edge of ``axes[axis]``
+    (beta for x, alpha for y), shaped (n, ..., dim) with length 1 along
+    ``axis``, the axis along which the boundary block replicates it.
 
     Pipeline: sample the kernel at the inner nodes of the other axis and
     the cubature grid, and weight it by the cubature; interpolate the
     mixed derivative of the interpolant from the inner tensor grid to the
     cubature grid and integrate it against each kernel row; then take the
     cumulative integral along the other axis.  Each step acts one axis at
-    a time.  The result is constant along ``axis``, so rows replicate.
-    In 1-D there is no other axis and the block is 1 (w beta)^T E D.
+    a time.  In 1-D there is no other axis and the row is (w beta)^T E D.
     """
     if not 0 <= axis < len(axes):
         raise ValueError(f"axis must be in 0..{len(axes) - 1}, got {axis!r}")
@@ -220,7 +232,17 @@ def assemble_boundary(
         t = lu_solve(ax.lu, t.reshape(ax.n, dim))
     shape = [ax.n for ax in axes]
     shape[axis] = 1
-    block = np.broadcast_to(t.reshape(*shape, dim), (*(ax.n for ax in axes), dim))
+    return t.reshape(*shape, dim)
+
+
+def assemble_boundary(
+    model: Model, axes: tuple[Axis, ...], axis: int, oversample: int = 2
+) -> np.ndarray:
+    """The boundary block of ``axes[axis]`` (see :func:`_boundary_rows`) as
+    a dense dim x dim array."""
+    rows = _boundary_rows(model, axes, axis, oversample)
+    dim = rows.shape[-1]
+    block = np.broadcast_to(rows, (*(ax.n for ax in axes), dim))
     return np.ascontiguousarray(block).reshape(dim, dim)
 
 
@@ -244,6 +266,14 @@ def _blocks(lifted: np.ndarray, k: int) -> np.ndarray:
     )
 
 
+def _add_lifts(matrix: np.ndarray, blocks) -> None:
+    """Add the Kronecker lift of each per-axis block (one per axis, in axis
+    order) to the square matrix, in place."""
+    lifted = matrix.reshape([b.shape[0] for b in blocks] * 2)
+    for k, b in enumerate(blocks):
+        _blocks(lifted, k)[...] += b
+
+
 def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> GeneratorMatrix:
     """The generator of the model at the given degree along each axis."""
     if min(degrees) < 1:
@@ -254,15 +284,20 @@ def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> Gener
         for ax, coef, name in zip(axes, (model.gx, model.gy), ("gx", "gy"))
     ]
     dim = math.prod(degrees)
-    matrix = np.zeros((dim, dim))
-    # the lifts -g_k D_k along each axis, on the blocks where the other
-    # indices are equal
-    lifted = matrix.reshape(degrees * 2)
-    for k, (ax, g) in enumerate(zip(axes, velocities)):
-        _blocks(lifted, k)[...] -= g * ax.d
-    for axis in reversed(range(len(axes))):
-        matrix += assemble_boundary(model, axes, axis, oversample)
-    matrix -= assemble_mortality(model, axes)
+    # an overflow anywhere shows as a non-finite entry, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts, rest = _mortality(model, axes)
+        matrix = np.zeros((dim, dim))
+        _add_lifts(matrix, [-(g * ax.d + m) for ax, g, m in zip(axes, velocities, parts)])
+        # alpha, then beta, each broadcast along the axis it replicates on
+        rows = matrix.reshape(*degrees, dim)
+        for axis in reversed(range(len(axes))):
+            rows += _boundary_rows(model, axes, axis, oversample)
+        if rest is not None:
+            matrix -= rest
+    if not np.isfinite(matrix).all():
+        size = " x ".join(map(str, degrees))
+        raise GeneratorOverflow(f"the generator of degree {size} overflows the float range")
     return GeneratorMatrix(matrix, axes)
 
 

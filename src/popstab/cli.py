@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import spectra
-from .assembly import assemble
+from .assembly import GeneratorOverflow, assemble
 from .expr import ExprSyntaxError
 from .grid import DuplicateNodes, InvalidInterval
 from .linalg import NoConvergence, SingularMatrix
@@ -33,7 +33,6 @@ from .model import (
     builtin,
     load_model,
 )
-from .quad import ShapeMismatch
 
 CONFIG_ERRORS = (
     ConfigSyntax,
@@ -48,10 +47,10 @@ CONFIG_ERRORS = (
     OSError,
 )
 NUMERICAL_ERRORS = (
+    GeneratorOverflow,
     SingularMatrix,
     NoConvergence,
     NonpositiveVelocity,
-    ShapeMismatch,
 )
 
 

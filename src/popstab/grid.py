@@ -10,6 +10,7 @@ nonsingular and its inverse realizes cumulative integrals from a.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,21 @@ class DiffOps:
 
 def cheb_grid(a: float, b: float, n: int) -> ChebGrid:
     """Grid of the n+1 Chebyshev extremal points of [a, b]."""
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got [{a}, {b}]")
+    if not 0 < b - a < np.inf:
+        raise InvalidInterval(f"need a < b with b - a finite, got [{a}, {b}]")
     if n < 1:
         raise ValueError("degree must be at least 1")
     k = np.arange(n + 1)
     # sine form of the extremal points: exactly antisymmetric, exact center
     scaled = np.sin(np.pi * (2 * k - n) / (2 * n))
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * scaled
+    # 0.5 a + 0.5 b is 0.5 (a + b), but cannot overflow
+    nodes = (0.5 * a + 0.5 * b) + 0.5 * (b - a) * scaled
     nodes[0] = a
     nodes[-1] = b
+    # differentiation-matrix entries reach 2 n / (smallest gap): keep that
+    # in the float range, with a factor 2 to spare for rounding
+    if not (nodes[1:] - nodes[:-1]).min() > 4 * n / sys.float_info.max:
+        raise InvalidInterval(f"the {n + 1} grid nodes on [{a}, {b}] do not fit in floating point")
     # Closed-form weights for extremal points: alternating signs, halved at
     # the endpoints (any common scaling cancels in the barycentric formulas).
     weights = np.where(k % 2 == 0, 1.0, -1.0)

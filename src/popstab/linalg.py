@@ -222,11 +222,15 @@ class Eigenvectors:
         x = np.random.default_rng(0).standard_normal(dim).astype(lu.dtype)
         for _ in range(INVERSE_ITERATIONS):
             y = scipy.linalg.lu_solve((lu, piv), x / np.linalg.norm(x), check_finite=False)
-            if basis is not None:
-                y = y - basis @ (basis.conj().T @ y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if basis is not None:
+                    y = y - basis @ (basis.conj().T @ y)
+                size = np.linalg.norm(y)
+            if not 0 < size < np.inf:
+                raise NoConvergence(f"inverse iteration for eigenvalue {lam} lost its iterate")
             x = y
             # LAPACK's acceptance test: the residual 1 / ||y|| is within
             # 10 sqrt(dim) eps3
-            if np.linalg.norm(y) * np.sqrt(dim) * self._eps3 >= 0.1:
+            if size * np.sqrt(dim) * self._eps3 >= 0.1:
                 break
         return _canonicalize(x[:, None])[:, 0]

@@ -16,13 +16,15 @@ time, by high-degree Clenshaw-Curtis cubature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import expr
-from .quad import cubature_rect, tensor_rule
+from .grid import cheb_grid
+from .quad import cc_weights
 
 
 class ConfigSyntax(ValueError):
@@ -59,10 +61,6 @@ class Coefficient:
 
     def __call__(self, *values):
         return expr.eval_expr(self.ast, dict(zip(self.variables, values)))
-
-    @property
-    def is_constant(self) -> bool:
-        return not expr.free_vars(self.ast)
 
 
 def coefficient(source: str, variables: tuple[str, ...], role: str) -> Coefficient:
@@ -102,8 +100,8 @@ class Model:
     reference: ReferenceEigenpair | None = None
 
     def __post_init__(self):
-        if not all(lo < hi for lo, hi in self.bounds):
-            raise ConfigSyntax("every axis of the domain must have positive extent")
+        if not all(0 < hi - lo < math.inf for lo, hi in self.bounds):
+            raise ConfigSyntax("every axis of the domain must have finite positive extent")
 
     @property
     def dimension(self) -> int:
@@ -197,9 +195,10 @@ def load_model(config_text: str) -> Model:
     """
     entries = _parse_lines(config_text)
     has_y = "y_min" in entries or "y_max" in entries
-    dimension = int(_number(entries, "dimension")) if "dimension" in entries else (2 if has_y else 1)
+    dimension = _number(entries, "dimension") if "dimension" in entries else (2 if has_y else 1)
     if dimension not in _ROLES:
-        raise ConfigSyntax(f"dimension must be 1 or 2, got {dimension}")
+        raise ConfigSyntax(f"dimension must be 1 or 2, got {entries['dimension']}")
+    dimension = int(dimension)
     axes = _AXES[:dimension]
     roles = _ROLES[dimension]
     bound_keys = [f"{v}_{end}" for v in axes for end in ("min", "max")]
@@ -211,28 +210,11 @@ def load_model(config_text: str) -> Model:
     return _model(bounds, _reference(entries, roles), **entries)
 
 
-def to_config(model: Model) -> str:
-    """Serialize a model back to the text format; reloading is lossless."""
-    lines = [f"dimension = {model.dimension}"]
-    for v, (lo, hi) in zip(_AXES, model.bounds):
-        lines.append(f"{v}_min = {lo!r}")
-        lines.append(f"{v}_max = {hi!r}")
-    for role in _ROLES[model.dimension]:
-        if role != "ref_phi":
-            lines.append(f'{role} = "{expr.to_source(getattr(model, role).ast)}"')
-    if model.reference is not None:
-        lines.append(f"ref_lambda = {model.reference.lam!r}")
-        if model.reference.phi is not None:
-            lines.append(f'ref_phi = "{expr.to_source(model.reference.phi.ast)}"')
-    return "\n".join(lines) + "\n"
-
-
 def _norm_constant(f, x0, x1, y0, y1, degree=256) -> float:
-    """Integral of f over the rectangle by a degree-256 tensor rule."""
-    rule = tensor_rule(x0, x1, y0, y1, degree, degree)
-    xg = rule.x_rule.nodes[:, None]
-    yg = rule.y_rule.nodes[None, :]
-    return cubature_rect(rule, f(xg, yg))
+    """Integral of f over the rectangle by a tensor Clenshaw-Curtis rule."""
+    x, y = (cc_weights(cheb_grid(a, b, degree)) for a, b in ((x0, x1), (y0, y1)))
+    values = np.asarray(f(x.nodes[:, None], y.nodes[None, :]), dtype=float)
+    return float(x.weights @ values @ y.weights)
 
 
 def _ref(lam: float, phi: str, note: str, variables=("x", "y")) -> ReferenceEigenpair:

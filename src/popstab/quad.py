@@ -1,4 +1,4 @@
-"""Clenshaw-Curtis quadrature and tensor cubature.
+"""Clenshaw-Curtis quadrature.
 
 Weights come from the explicit cosine-sum formula (no FFT needed at the
 degrees used here).
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ChebGrid, cheb_grid
+from .grid import ChebGrid
 
 
 class ShapeMismatch(ValueError):
@@ -27,18 +27,6 @@ class CCRule:
     @property
     def nodes(self) -> np.ndarray:
         return self.grid.nodes
-
-
-@dataclass(frozen=True)
-class TensorCubature:
-    """Tensor-product rule over a rectangle; weights are the outer product."""
-
-    x_rule: CCRule
-    y_rule: CCRule
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.outer(self.x_rule.weights, self.y_rule.weights)
 
 
 def cc_weights(grid: ChebGrid) -> CCRule:
@@ -67,13 +55,6 @@ def cc_weights(grid: ChebGrid) -> CCRule:
     return CCRule(grid, w * (grid.b - grid.a) / 2.0)
 
 
-def tensor_rule(x0, x1, y0, y1, degree_x, degree_y) -> TensorCubature:
-    return TensorCubature(
-        cc_weights(cheb_grid(x0, x1, degree_x)),
-        cc_weights(cheb_grid(y0, y1, degree_y)),
-    )
-
-
 def quadrature(rule: CCRule, values) -> float:
     """Weighted sum approximating the integral over [a, b]."""
     values = np.asarray(values, dtype=float)
@@ -82,15 +63,3 @@ def quadrature(rule: CCRule, values) -> float:
             f"expected {rule.weights.shape}, got {values.shape}"
         )
     return float(rule.weights @ values)
-
-
-def cubature_rect(rule: TensorCubature, values) -> float:
-    """Tensor cubature of f over the rectangle from samples at the nodes.
-
-    ``values[p, q]`` must be f at (x_rule.nodes[p], y_rule.nodes[q]).
-    """
-    values = np.asarray(values, dtype=float)
-    expected = (rule.x_rule.weights.size, rule.y_rule.weights.size)
-    if values.shape != expected:
-        raise ShapeMismatch(f"expected {expected}, got {values.shape}")
-    return float(rule.x_rule.weights @ values @ rule.y_rule.weights)

@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .assembly import Axis, GeneratorMatrix, assemble
+from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemble
 from .grid import cheb_grid, interp_matrix
 from .linalg import Eigenvectors, NoConvergence, SingularMatrix, eigenvalues, norm_inf
 from .model import Model, NonpositiveVelocity, ReferenceEigenpair
@@ -189,15 +189,15 @@ def eigen_errors(
         report.eps_phi = float("nan")
         return eps_lambda, report.eps_phi
     nodes = [rule.nodes for rule in rules]
-    phi_hat = reconstruct_eigenfunction(psi, generator.axes, *nodes)
-    phi_ref = np.broadcast_to(
-        np.asarray(ref.phi(*np.ix_(*nodes)), dtype=float), phi_hat.shape
-    )
-    weights = reduce(np.multiply.outer, [rule.weights for rule in rules])
-    denom = np.sum(weights * np.abs(phi_hat) ** 2)
-    scale = np.sum(weights * np.conj(phi_hat) * phi_ref) / denom
-    report.phi_samples = scale * phi_hat
-    report.eps_phi = float(np.sum(weights * np.abs(scale * phi_hat - phi_ref)))
+    # values beyond the float range make eps_phi inf or nan, not a warning
+    with np.errstate(all="ignore"):
+        phi_hat = reconstruct_eigenfunction(psi, generator.axes, *nodes)
+        phi_ref = _samples(ref.phi, "ref_phi", *np.ix_(*nodes))
+        weights = reduce(np.multiply.outer, [rule.weights for rule in rules])
+        denom = np.sum(weights * np.abs(phi_hat) ** 2)
+        scale = np.sum(weights * np.conj(phi_hat) * phi_ref) / denom
+        report.phi_samples = scale * phi_hat
+        report.eps_phi = float(np.sum(weights * np.abs(scale * phi_hat - phi_ref)))
     return eps_lambda, report.eps_phi
 
 
@@ -246,7 +246,7 @@ def convergence_sweep(
                     seconds=time.perf_counter() - start,
                 )
             )
-        except (SingularMatrix, NoConvergence, NonpositiveVelocity) as exc:
+        except (SingularMatrix, NoConvergence, NonpositiveVelocity, GeneratorOverflow) as exc:
             records.append(
                 ConvergenceRecord(
                     n=n,

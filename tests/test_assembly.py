@@ -41,8 +41,8 @@ def test_constant_mortality_is_identity():
 
 
 def test_constant_mortality_through_composition_route():
-    # same constant, but written with a free variable so the cumulative
-    # composition (not the diagonal shortcut) is exercised
+    # same constant, but written with a free variable: it is recognised as
+    # constant from its samples, not from its expression
     for c in (1.0, 3.7):
         model = load(ZERO_2D.replace('mu = "0"', f'mu = "{c!r} + 0*x"'))
         axes = collocation_grids(model, 8, 8)
@@ -203,6 +203,10 @@ def test_generator_matrix_is_finite():
 
 # a 1-D model file with a nonconstant mu and beta
 FILE_1D = 'x_min = 0.5\nx_max = 2\nmu = "x^2 + 1"\nbeta = "sin(3*x) + 2"\n'
+# a 2-D model file whose mu is not a sum of functions of x and of y
+FILE_NONSEPARABLE = ZERO_2D.replace('mu = "0"', 'mu = "x*y + 1"').replace(
+    'alpha = "0"', 'alpha = "exp(-xi) * sigma"'
+).replace('beta = "0"', 'beta = "y + xi"') + 'gx = "1 + x"\n'
 
 
 def _kron_reference(model, n, m, oversample=2):
@@ -249,7 +253,8 @@ def _kron_reference(model, n, m, oversample=2):
 @pytest.mark.parametrize("n, m", [(7, 5), (10, 10)])
 def test_per_axis_assembly_matches_kronecker_reference(n, m):
     models = [(name, builtin(name)[0]) for name in BUILTIN_NAMES]
-    for name, model in models + [("1-D model file", load(FILE_1D))]:
+    files = [("1-D model file", load(FILE_1D)), ("x*y + 1", load(FILE_NONSEPARABLE))]
+    for name, model in models + files:
         gen = assemble(model, n, m if model.dimension == 2 else None)
         matrix, m_block = _kron_reference(model, n, m)
         tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
@@ -269,11 +274,26 @@ def test_each_trimmed_d_is_factored_once(monkeypatch):
         assert np.array_equal(a, ax.d)
 
 
-@pytest.mark.parametrize("name", ["ex2_1", "ex1_4"])
+def test_nonseparable_mortality_is_subtracted_after_the_boundary_rows():
+    model = load(FILE_NONSEPARABLE)
+    without = load(FILE_NONSEPARABLE.replace('mu = "x*y + 1"', 'mu = "0"'))
+    gen = assemble(model, 6, 5)
+    m_block = assemble_mortality(model, gen.axes)
+    assert np.array_equal(gen.matrix, assemble(without, 6, 5).matrix - m_block)
+
+
+def test_overflowing_generator_is_reported():
+    # cubature weights near 1e300 times a kernel of 1e300
+    model = load('x_min = 0\nx_max = 1e300\nmu = "1"\nbeta = "1e300"\n')
+    with pytest.raises(assembly.GeneratorOverflow):
+        assemble(model, 4)
+
+
+@pytest.mark.parametrize("name", ["ex2_1", "ex1_4", "velocity"])
 def test_assembly_peak_memory(name):
-    # the generator keeps one dense nm x nm array, its matrix; each block is
-    # added to it as soon as it is made, and the per-axis mortality solves
-    # (non-constant mu, ex1_4) hold at most two tensors of that size
+    # the generator keeps one dense nm x nm array, its matrix: mortality is
+    # folded into the per-axis blocks (every builtin mu is separable) and
+    # the boundary rows are added through a broadcast view
     model, _ = builtin(name)
     n = m = 24
     assemble_2d(model, 4, 4)  # warm up lazy imports and caches
@@ -283,7 +303,7 @@ def test_assembly_peak_memory(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * (n * m) ** 2 * 8
+    assert peak <= 1.5 * (n * m) ** 2 * 8
     held = [a for a in _held_arrays(gen) if a.size >= gen.dim**2]
     assert len(held) == 1 and held[0].shape == (gen.dim, gen.dim)
     assert held[0].dtype == np.float64

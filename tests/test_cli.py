@@ -1,5 +1,12 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from popstab import cli
 from popstab.cli import main
@@ -247,3 +254,85 @@ def test_bad_coefficient_samples_exit_two(tmp_path, capsys, text, expected, poin
     assert len(lines) == 1
     assert expected in lines[0]
     assert point in lines[0]
+
+
+# Small pools for random model files: intervals with extreme ends, and
+# coefficients that are fine, undefined somewhere, or huge.
+_INTERVALS = (
+    ("0", "1"), ("0", "2"), ("-1", "1"), ("0.5", "1.5"), ("0", "1e-300"), ("1e300", "1e301"),
+    ("0", "1e-320"), ("-1e308", "1e308"), ("0", "inf"), ("nan", "1"), ("1", "1"), ("2", "1"),
+)
+_COEFFICIENTS = {
+    1: {
+        "mu": ("1", "0", "x^2 + 1", "exp(-x)", "1/x", "log(x)", "1e300"),
+        "beta": ("1", "0", "exp(-x)", "sin(3*x) + 2", "1/x", "1e300"),
+    },
+    2: {
+        "mu": ("1", "0", "2*x + 1", "x*y + 1", "y^3 - 2*x^2 - y + 4", "1/x", "1e300"),
+        "alpha": ("1", "0", "exp(-xi + sigma)", "x * xi", "step(xi - 0.5)", "1/xi", "1e300"),
+        "beta": ("1", "0", "exp(-y) * sigma", "y * xi", "abs(y) * 0.75", "1/sigma", "1e300"),
+        "gx": ("1", "1", "x + 2", "exp(x)"),
+        "gy": ("1", "1", "y^2 + 1", "2 + y"),
+    },
+}
+
+
+@st.composite
+def _model_files(draw):
+    """Key -> value of a model file; None leaves the key out."""
+    dim = draw(st.sampled_from((1, 2)))
+    entries = {"dimension": draw(st.sampled_from((None, str(dim))))}
+    for axis in "xy"[:dim]:
+        entries[f"{axis}_min"], entries[f"{axis}_max"] = draw(st.sampled_from(_INTERVALS))
+    for role, pool in _COEFFICIENTS[dim].items():
+        entries[role] = draw(st.sampled_from(pool))
+    entries["ref_lambda"] = draw(st.sampled_from((None, "-1", "-1", "1e300")))
+    if entries["ref_lambda"] is not None:
+        entries["ref_phi"] = draw(st.sampled_from((None, "1", "exp(x)", "log(x)")))
+    return entries
+
+
+# one input of each bad kind that once ended in a traceback
+_FILE_1D = {"x_min": "0", "x_max": "1", "mu": "1", "beta": "1"}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    entries=_model_files(),
+    command=st.sampled_from(("spectrum", "converge")),
+    n=st.integers(1, 6),
+    m=st.one_of(st.none(), st.integers(1, 6)),
+)
+@example(entries={**_FILE_1D, "dimension": "1.5"}, command="spectrum", n=4, m=None)
+@example(entries={**_FILE_1D, "dimension": "nan"}, command="spectrum", n=4, m=None)
+@example(entries={**_FILE_1D, "dimension": "inf"}, command="spectrum", n=4, m=None)
+@example(entries={**_FILE_1D, "x_max": "inf"}, command="spectrum", n=4, m=None)
+@example(
+    entries={**_FILE_1D, "x_min": "-1e308", "x_max": "1e308"}, command="spectrum", n=4, m=None
+)
+@example(entries={**_FILE_1D, "x_max": "1e-320"}, command="spectrum", n=4, m=None)
+@example(
+    entries={**_FILE_1D, "x_max": "1e-300", "ref_lambda": "-1", "ref_phi": "1"},
+    command="converge",
+    n=4,
+    m=None,
+)
+def test_random_model_files_never_end_in_a_traceback(entries, command, n, m):
+    text = "".join(f'{key} = "{value}"\n' for key, value in entries.items() if value is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        if command == "spectrum":
+            argv = ["spectrum", "--model", path, "--n", str(n)]
+            argv += [] if m is None else ["--m", str(m)]
+        else:
+            argv = ["converge", "--model", path, "--n-min", str(n), "--n-max", str(n + 1)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""

