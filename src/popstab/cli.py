@@ -119,12 +119,8 @@ def _record_row(record: spectra.ConvergenceRecord) -> str:
 
 def cmd_converge(args) -> int:
     model = _load(args.model)
-    if model.reference is None:
-        raise spectra.MissingReference(
-            "the model has no reference eigenpair (builtin or ref_lambda/ref_phi)"
-        )
     degrees = list(range(args.n_min, args.n_max + 1, args.n_step))
-    records = spectra.convergence_sweep(model, None, degrees, args.oversample)
+    records = spectra.convergence_sweep(model, degrees, args.oversample)
     rows = [_record_row(r) for r in records]
     header = "n,m,eps_lambda,eps_phi,lambda_re,lambda_im,abscissa"
     print(header)
@@ -142,6 +138,14 @@ def cmd_converge(args) -> int:
         _write_csv(args.out, header, rows)
     if args.svg:
         write_convergence_svg(args.svg, args.model, records, slopes, args.guide_slope)
+    if all(r.error is not None for r in records):
+        first = records[0]
+        print(
+            "popstab: numerical failure: every degree failed "
+            f"(n = {first.n}: {first.error})",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

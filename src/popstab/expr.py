@@ -40,10 +40,6 @@ class UnknownFunction(ExprSyntaxError):
     pass
 
 
-class UnknownConstant(ExprSyntaxError):
-    pass
-
-
 class DomainError(ValueError):
     """log/sqrt evaluated outside their real domain; ``where`` marks the
     offending entries of the argument."""
@@ -142,10 +138,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens, variables):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.variables = variables
 
     def peek(self):
         return self.tokens[self.pos]
@@ -206,24 +201,16 @@ class _Parser:
                 return Call(text, arg)
             if text in CONSTANTS:
                 return Const(text)
-            if self.variables is not None and text not in self.variables:
-                raise UnknownConstant(f"unknown name {text!r}", at)
             return Var(text)
         raise ExprSyntaxError("expected a value", at)
 
 
-def parse_expr(source: str, variables=None) -> Expr:
-    """Parse expression text into an immutable tree.
-
-    When ``variables`` (an iterable of names) is given, any bare name that
-    is neither a listed variable nor a known constant raises
-    UnknownConstant; otherwise bare names parse as variables.
-    """
+def parse_expr(source: str) -> Expr:
+    """Parse expression text into an immutable tree; a bare name that is
+    not a known constant parses as a variable."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    if variables is not None:
-        variables = frozenset(variables)
-    parser = _Parser(_tokenize(source), variables)
+    parser = _Parser(_tokenize(source))
     node = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "end":

@@ -2,9 +2,9 @@
 
 Thin contracts over LAPACK (via scipy): factorization-based solves with a
 relative pivot guard and the nonsymmetric dense eigensolver (balancing +
-Hessenberg reduction + QR, which is what *geev performs).  Eigenvalues can
-be computed alone, with each right eigenvector computed afterwards by
-inverse iteration when it is needed.  From dimension BALANCE_MIN_DIM on,
+Hessenberg reduction + QR, which is what *geev performs).  Eigenvalues are
+computed alone; :func:`eigenvector` computes the right eigenvector of one
+of them by inverse iteration.  From dimension BALANCE_MIN_DIM on,
 :func:`balance` does geev's balancing first (xGEBAL's strided row norms took
 4.3 s at dimension 2304).  Matrices are plain float64 2-D numpy arrays.
 """
@@ -12,7 +12,6 @@ inverse iteration when it is needed.  From dimension BALANCE_MIN_DIM on,
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -74,40 +73,6 @@ def lu_solve(a, b) -> np.ndarray:
     return scipy.linalg.lu_solve(factors, b, check_finite=False)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues with index-paired right eigenvectors (as columns).
-
-    Vectors have unit Euclidean norm with the first significant component
-    rotated to be real and positive, so repeated runs give identical output.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _canonicalize(vectors: np.ndarray) -> np.ndarray:
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    out = np.array(vectors, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        significant = np.nonzero(mags > 1e-12 * mags.max())[0]
-        lead = col[significant[0]]
-        out[:, j] = col * (np.conj(lead) / np.abs(lead))
-    return out
-
-
-def eigen_dense(m) -> EigenDecomposition:
-    """All eigenvalues and right eigenvectors of a real square matrix."""
-    m = as_matrix(m)
-    try:
-        values, vectors = scipy.linalg.eig(m, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return EigenDecomposition(values, _canonicalize(vectors))
-
-
 # From this dimension on, balance() runs before geev (it is slower below ~170).
 BALANCE_MIN_DIM = 256
 BALANCE_SWEEPS = 64  # then geev gets the scaling found so far
@@ -141,8 +106,8 @@ def balance(a) -> tuple[np.ndarray, np.ndarray]:
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a real square matrix, without eigenvectors.
 
-    The same *geev driver as :func:`eigen_dense`, asked for no vectors.
-    From BALANCE_MIN_DIM on it gets the copy that :func:`balance` scales.
+    LAPACK's *geev asked for no vectors (see :func:`eigenvector`).  From
+    BALANCE_MIN_DIM on it gets the copy that :func:`balance` scales.
     """
     m = as_matrix(m)
     own = len(m) >= BALANCE_MIN_DIM
@@ -153,84 +118,55 @@ def eigenvalues(m) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-# Computed eigenvalues closer than this, relative to ||m||inf, are taken
-# as one repeated eigenvalue and get mutually orthogonal vectors.
-REPEAT_RTOL = 1e-12
 # Inverse-iteration steps before the last iterate is accepted as it is.
 INVERSE_ITERATIONS = 3
 
 
-class Eigenvectors:
-    """Right eigenvectors of ``m`` for its computed ``values``, on demand.
+def _canonicalize(x: np.ndarray) -> np.ndarray:
+    """``x`` at unit Euclidean norm with its first significant component
+    rotated to be real and positive, so repeated runs give identical output."""
+    # the column-norm reduction; np.linalg.norm(x) rounds differently
+    x = np.array(x / np.linalg.norm(x[:, None], axis=0), dtype=complex)
+    mags = np.abs(x)
+    lead = x[np.flatnonzero(mags > 1e-12 * mags.max())[0]]
+    return x * (np.conj(lead) / np.abs(lead))
 
-    ``m`` is the matrix given to :func:`eigenvalues`, ``values`` what that
-    returned (in any order) and ``norm`` is ``norm_inf(m)``.
 
-    Indexing with j computes the vector of ``values[j]`` on first read, by
-    inverse iteration with the shifted matrix ``m - values[j] I`` (real
-    arithmetic for a real eigenvalue), and caches it.  The partner of a
-    conjugate pair gets the conjugate of the vector of the member with
-    positive imaginary part.  A repeated eigenvalue (see ``REPEAT_RTOL``)
-    gets a vector orthogonal to those of its earlier copies, so the copies
-    span the eigenspace of a semisimple eigenvalue.  Vectors are
-    canonicalized as in :func:`eigen_dense`.
+def eigenvector(m, lam: complex, norm: float) -> np.ndarray:
+    """Right eigenvector of ``m`` for ``lam``, one of its computed eigenvalues.
+
+    ``norm`` is ``norm_inf(m)``.  Inverse iteration with the shifted matrix
+    ``m - lam I`` (real arithmetic for a real ``lam``) from a fixed start,
+    so the conjugate of ``lam`` gets the conjugate vector.  The result has
+    unit norm and a real, positive first significant component.
     """
-
-    def __init__(self, m: np.ndarray, values: np.ndarray, norm: float):
-        self._m = m
-        self._values = values
-        # the pivot floor of LAPACK's xHSEIN inverse iteration
-        self._eps3 = np.finfo(float).eps * (norm or 1.0)
-        self._repeat_tol = REPEAT_RTOL * norm
-        self._cache: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        if not 0 <= j < self._values.size:
-            raise IndexError(f"eigenvalue index {j} outside 0..{self._values.size - 1}")
-        if j not in self._cache:
-            lam = self._values[j]
-            if lam.imag < 0:
-                partner = int(np.flatnonzero(self._values == np.conj(lam))[0])
-                self._cache[j] = np.conj(self[partner])
-            else:
-                earlier = [
-                    i for i in range(j)
-                    if self._values[i].imag >= 0
-                    and abs(self._values[i] - lam) <= self._repeat_tol
-                ]
-                self._cache[j] = self._inverse_iteration(lam, [self[i] for i in earlier])
-        return self._cache[j]
-
-    def _inverse_iteration(self, lam: complex, earlier: list) -> np.ndarray:
-        dim = self._m.shape[0]
-        if lam.imag == 0:
-            shifted = self._m.copy()
-            shifted[np.diag_indices(dim)] -= lam.real
-        else:
-            shifted = self._m.astype(complex)
-            shifted[np.diag_indices(dim)] -= lam
-        with warnings.catch_warnings():
-            # the shifted matrix is singular on purpose; tiny pivots are
-            # raised to eps3 below instead of failing the guard of lu_factor
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
-        diag = np.diagonal(lu)
-        tiny = np.flatnonzero(np.abs(diag) < self._eps3)
-        lu[tiny, tiny] = self._eps3
-        basis = np.column_stack(earlier) if earlier else None
-        # fixed start: deterministic, and generic in every eigendirection
-        x = np.random.default_rng(0).standard_normal(dim).astype(lu.dtype)
-        for _ in range(INVERSE_ITERATIONS):
-            y = scipy.linalg.lu_solve((lu, piv), x / np.linalg.norm(x), check_finite=False)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if basis is not None:
-                    y = y - basis @ (basis.conj().T @ y)
-                size = np.linalg.norm(y)
-            if not 0 < size < np.inf:
-                raise NoConvergence(f"inverse iteration for eigenvalue {lam} lost its iterate")
-            x = y
-            # LAPACK's acceptance test: the residual 1 / ||y|| is within
-            # 10 sqrt(dim) eps3
-            if size * np.sqrt(dim) * self._eps3 >= 0.1:
-                break
-        return _canonicalize(x[:, None])[:, 0]
+    dim = m.shape[0]
+    if lam.imag == 0:
+        shifted = m.copy()
+        shifted[np.diag_indices(dim)] -= lam.real
+    else:
+        shifted = m.astype(complex)
+        shifted[np.diag_indices(dim)] -= lam
+    with warnings.catch_warnings():
+        # the shifted matrix is singular on purpose; tiny pivots are
+        # raised to eps3 below instead of failing the guard of lu_factor
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
+    # the pivot floor of LAPACK's xHSEIN inverse iteration
+    eps3 = np.finfo(float).eps * (norm or 1.0)
+    tiny = np.flatnonzero(np.abs(np.diagonal(lu)) < eps3)
+    lu[tiny, tiny] = eps3
+    # fixed start: deterministic, and generic in every eigendirection
+    x = np.random.default_rng(0).standard_normal(dim).astype(lu.dtype)
+    for _ in range(INVERSE_ITERATIONS):
+        y = scipy.linalg.lu_solve((lu, piv), x / np.linalg.norm(x), check_finite=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.linalg.norm(y)
+        if not 0 < size < np.inf:
+            raise NoConvergence(f"inverse iteration for eigenvalue {lam} lost its iterate")
+        x = y
+        # LAPACK's acceptance test: the residual 1 / ||y|| is within
+        # 10 sqrt(dim) eps3
+        if size * np.sqrt(dim) * eps3 >= 0.1:
+            break
+    return _canonicalize(x)

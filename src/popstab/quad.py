@@ -13,10 +13,6 @@ import numpy as np
 from .grid import ChebGrid
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CCRule:
     """Clenshaw-Curtis rule on the extremal nodes of a Chebyshev grid."""
@@ -54,12 +50,3 @@ def cc_weights(grid: ChebGrid) -> CCRule:
     w[1:n] = w[1:n][::-1]
     return CCRule(grid, w * (grid.b - grid.a) / 2.0)
 
-
-def quadrature(rule: CCRule, values) -> float:
-    """Weighted sum approximating the integral over [a, b]."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != rule.weights.shape:
-        raise ShapeMismatch(
-            f"expected {rule.weights.shape}, got {values.shape}"
-        )
-    return float(rule.weights @ values)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemble
 from .grid import cheb_grid, interp_matrix
-from .linalg import Eigenvectors, NoConvergence, SingularMatrix, eigenvalues, norm_inf
+from .linalg import NoConvergence, SingularMatrix, eigenvalues, eigenvector, norm_inf
 from .model import Model, NonpositiveVelocity, ReferenceEigenpair
 from .quad import CCRule, cc_weights
 
@@ -46,9 +46,8 @@ class EigenReport:
     """Spectrum of a generator, optionally matched against a reference.
 
     Eigenvalues are sorted by descending real part (ties by descending
-    imaginary part).  Eigenvectors are not stored: :meth:`vector` computes
-    the one of a given eigenvalue on first read, and ``vectors`` holds
-    those of the first k.  The matching fields are filled by
+    imaginary part).  No eigenvector is stored: each call of
+    :meth:`vector` computes one.  The matching fields are filled by
     :func:`eigen_errors`.
     """
 
@@ -67,18 +66,10 @@ class EigenReport:
         """||generator.matrix||inf."""
         return norm_inf(self.generator.matrix)
 
-    @cached_property
-    def _eigenvectors(self) -> Eigenvectors:
-        return Eigenvectors(self.generator.matrix, self.eigenvalues, self.matrix_norm)
-
     def vector(self, index: int) -> np.ndarray:
-        """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical phase."""
-        return self._eigenvectors[index]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors of the k rightmost eigenvalues, as columns."""
-        return np.column_stack([self.vector(j) for j in range(self.k)])
+        """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical
+        phase, computed by inverse iteration on every call."""
+        return eigenvector(self.generator.matrix, self.eigenvalues[index], self.matrix_norm)
 
 
 @dataclass(frozen=True)
@@ -99,8 +90,8 @@ class ConvergenceRecord:
 def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
     """All eigenvalues of the generator, sorted rightmost first.
 
-    Only eigenvalues are computed here; an eigenvector is computed when it
-    is read from the report (``k`` sets which ones ``vectors`` holds).
+    Only eigenvalues are computed here; :meth:`EigenReport.vector` computes
+    an eigenvector.  ``k`` is only checked against the dimension.
     """
     if k < 1 or k > generator.dim:
         raise ValueError(f"k must be in 1..{generator.dim}")
@@ -212,20 +203,18 @@ def stability_verdict(abscissa: float, tol: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def convergence_sweep(
-    model: Model,
-    reference: ReferenceEigenpair | None,
-    n_list,
-    oversample: int = 2,
-) -> list[ConvergenceRecord]:
-    """Errors for each degree in n_list (with m = n for 2-D models).
+def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[ConvergenceRecord]:
+    """Errors against ``model.reference`` for each degree in n_list (with
+    m = n for 2-D models).
 
     A degree that fails numerically is recorded with nan errors and the
     failure message; the sweep continues.
     """
-    ref = reference if reference is not None else model.reference
+    ref = model.reference
     if ref is None:
-        raise MissingReference("convergence sweeps need a reference eigenpair")
+        raise MissingReference(
+            "the model has no reference eigenpair (builtin or ref_lambda/ref_phi)"
+        )
     records = []
     for n in n_list:
         m = dict(zip("nm", [n] * model.dimension)).get("m")  # None in 1-D

@@ -137,6 +137,37 @@ def test_converge_requires_reference(tmp_path, capsys):
     assert "reference" in err
 
 
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (EX11_CONFIG + 'gx = "x"\n', "gx must be strictly positive"),
+        (
+            'x_min = 0\nx_max = 1e-300\nmu = "1"\nbeta = "1"\nref_lambda = -1\nref_phi = "1"\n',
+            "inverse iteration",
+        ),
+    ],
+    ids=["vanishing-velocity", "tiny-domain"],
+)
+def test_converge_exits_three_when_every_degree_failed(tmp_path, capsys, text, error):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    out_csv, out_svg = tmp_path / "conv.csv", tmp_path / "conv.svg"
+    code, out, err = run(
+        capsys, "converge", "--model", str(model), "--n-min", "2", "--n-max", "4",
+        "--out", str(out_csv), "--svg", str(out_svg),
+    )
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "numerical failure: every degree failed (n = 2: " in lines[0]
+    assert error in lines[0]
+    rows = out_csv.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
+    assert all(row.split(",")[4] == "nan" for row in rows)
+    assert "\n".join(rows) in out
+    assert out_svg.exists()
+
+
 def test_converge_svg_does_not_change_csv(tmp_path, capsys):
     plain_csv = tmp_path / "plain.csv"
     args = ["converge", "--model", "builtin:appendix1d",
@@ -336,3 +367,7 @@ def test_random_model_files_never_end_in_a_traceback(entries, command, n, m):
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     else:
         assert err.getvalue() == ""
+    if command == "converge" and code == 0:
+        # a sweep that exits 0 measured at least one degree
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:] if "," in line]
+        assert any(np.isfinite(float(row[4])) for row in rows), out.getvalue()

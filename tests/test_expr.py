@@ -9,7 +9,6 @@ from popstab.expr import (
     Neg,
     Num,
     UnboundVariable,
-    UnknownConstant,
     UnknownFunction,
     Var,
     eval_expr,
@@ -135,13 +134,6 @@ def test_no_implicit_multiplication():
 def test_unknown_function():
     with pytest.raises(UnknownFunction):
         parse_expr("tan(x)")
-
-
-def test_unknown_constant_with_declared_variables():
-    with pytest.raises(UnknownConstant):
-        parse_expr("x + tau", variables={"x"})
-    tree = parse_expr("x + pi", variables={"x"})
-    assert free_vars(tree) == {"x"}
 
 
 def test_unbound_variable():

@@ -12,8 +12,8 @@ from popstab.linalg import (
     NoConvergence,
     SingularMatrix,
     balance,
-    eigen_dense,
     eigenvalues,
+    eigenvector,
     lu_solve,
     norm_inf,
 )
@@ -56,18 +56,23 @@ def test_singular_matrix_raises():
         lu_solve(np.zeros((3, 3)) + 1e-20, np.ones(3))
 
 
+def _eigenpairs(m):
+    """Eigenvalues of ``m`` and, index-paired, their eigenvectors."""
+    values = eigenvalues(m)
+    return values, [eigenvector(m, lam, norm_inf(m)) for lam in values]
+
+
 def test_eigen_diagonal():
-    dec = eigen_dense(np.diag([2.0, 3.0]))
-    assert sorted(dec.values.real) == [2.0, 3.0]
-    assert np.allclose(dec.values.imag, 0.0)
-    for j, lam in enumerate(dec.values):
-        v = dec.vectors[:, j]
+    values, vectors = _eigenpairs(np.diag([2.0, 3.0]))
+    assert sorted(values.real) == [2.0, 3.0]
+    assert np.allclose(values.imag, 0.0)
+    for lam, v in zip(values, vectors):
         assert np.allclose(np.abs(v), [1.0, 0.0] if lam == 2.0 else [0.0, 1.0])
 
 
 def test_eigen_rotation_generator():
-    dec = eigen_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    got = sorted(dec.values, key=lambda z: z.imag)
+    values = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    got = sorted(values, key=lambda z: z.imag)
     assert got[0] == pytest.approx(-1j, abs=1e-14)
     assert got[1] == pytest.approx(1j, abs=1e-14)
 
@@ -104,11 +109,11 @@ def _durand_kerner(coeffs, iterations=500):
 def test_eigen_matches_characteristic_polynomial_roots():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((6, 6))
-    dec = eigen_dense(m)
+    values = eigenvalues(m)
     roots = _durand_kerner(_char_poly_coeffs(m))
     remaining = list(roots)
     scale = max(1.0, norm_inf(m))
-    for lam in dec.values:
+    for lam in values:
         nearest = min(range(len(remaining)), key=lambda i: abs(remaining[i] - lam))
         assert abs(remaining[nearest] - lam) <= 1e-8 * scale
         remaining.pop(nearest)
@@ -117,37 +122,34 @@ def test_eigen_matches_characteristic_polynomial_roots():
 def test_eigen_residuals_and_conjugate_closure():
     rng = np.random.default_rng(123)
     m = rng.standard_normal((12, 12)) * 3.0
-    dec = eigen_dense(m)
+    values, vectors = _eigenpairs(m)
     bound = 1e-8 * norm_inf(m)
-    for j, lam in enumerate(dec.values):
-        v = dec.vectors[:, j]
+    for lam, v in zip(values, vectors):
         assert norm_inf(m @ v - lam * v) <= bound * norm_inf(v)
-    conj_sorted = np.sort_complex(np.conj(dec.values))
-    assert np.allclose(np.sort_complex(dec.values), conj_sorted, atol=1e-10)
+    conj_sorted = np.sort_complex(np.conj(values))
+    assert np.allclose(np.sort_complex(values), conj_sorted, atol=1e-10)
 
 
 def test_eigen_trace_check():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((30, 30))
-    dec = eigen_dense(m)
-    assert abs(np.sum(dec.values) - np.trace(m)) <= 1e-8 * norm_inf(m) * 30
+    values = eigenvalues(m)
+    assert abs(np.sum(values) - np.trace(m)) <= 1e-8 * norm_inf(m) * 30
 
 
 def test_eigen_deterministic():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((15, 15))
-    first = eigen_dense(m)
-    second = eigen_dense(m)
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.vectors, second.vectors)
+    first = _eigenpairs(m)
+    second = _eigenpairs(m)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_eigen_vectors_canonical():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((9, 9))
-    dec = eigen_dense(m)
-    for j in range(9):
-        v = dec.vectors[:, j]
+    for v in _eigenpairs(m)[1]:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
         lead = v[np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0][0]]
         assert lead.real > 0
@@ -156,7 +158,7 @@ def test_eigen_vectors_canonical():
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        eigen_dense(np.ones((2, 3)))
+        eigenvalues(np.ones((2, 3)))
     with pytest.raises(ValueError):
         lu_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
     assert isinstance(NoConvergence("x"), ArithmeticError)
