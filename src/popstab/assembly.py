@@ -113,14 +113,6 @@ class GeneratorMatrix:
     axes: tuple[Axis, ...]
 
     @property
-    def n(self) -> int:
-        return self.axes[0].n
-
-    @property
-    def m(self) -> int | None:
-        return self.axes[1].n if len(self.axes) > 1 else None
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 

@@ -18,16 +18,14 @@ import sys
 import numpy as np
 
 from . import spectra
-from .assembly import GeneratorOverflow, assemble
+from .assembly import assemble
 from .expr import ExprSyntaxError
 from .grid import DuplicateNodes, InvalidInterval
-from .linalg import NoConvergence, SingularMatrix
 from .model import (
     BUILTIN_NAMES,
     ConfigSyntax,
     InvalidSample,
     MissingKey,
-    NonpositiveVelocity,
     UnknownExample,
     VariableMismatch,
     builtin,
@@ -45,12 +43,7 @@ CONFIG_ERRORS = (
     InvalidSample,
     spectra.MissingReference,
     OSError,
-)
-NUMERICAL_ERRORS = (
-    GeneratorOverflow,
-    SingularMatrix,
-    NoConvergence,
-    NonpositiveVelocity,
+    UnicodeDecodeError,
 )
 
 
@@ -353,7 +346,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"popstab: configuration error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except spectra.NUMERICAL_ERRORS as exc:
         print(f"popstab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

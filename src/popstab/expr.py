@@ -137,10 +137,22 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest expression parse_expr accepts, both as the height of its tree
+# and as the nesting of parentheses, calls, unary minus and "^" exponents
+# (at most five parser frames per level).  It keeps parsing and the
+# recursive walks of a tree (free_vars, eval_expr, to_source, ==) well
+# inside Python's default recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each parse_* method returns the parsed tree and
+    its height (1 for a leaf)."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -156,62 +168,80 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}", at)
         self.advance()
 
+    def bounded(self, depth, at):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", at)
+        return depth
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, height = self.parse_term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_term())
-        return node
+            _, op, at = self.advance()
+            right, right_height = self.parse_term()
+            node, height = BinOp(op, node, right), self.bounded(1 + max(height, right_height), at)
+        return node, height
 
     def parse_term(self):
-        node = self.parse_factor()
+        node, height = self.parse_factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            _, op, at = self.advance()
+            right, right_height = self.parse_factor()
+            node, height = BinOp(op, node, right), self.bounded(1 + max(height, right_height), at)
+        return node, height
 
     def parse_factor(self):
-        if self.peek()[:2] == ("op", "-"):
+        # every nesting level passes through here exactly once
+        kind, text, at = self.peek()
+        self.nesting = self.bounded(self.nesting + 1, at)
+        if (kind, text) == ("op", "-"):
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+            arg, height = self.parse_factor()
+            result = Neg(arg), self.bounded(1 + height, at)
+        else:
+            result = self.parse_power()
+        self.nesting -= 1
+        return result
 
     def parse_power(self):
-        node = self.parse_atom()
-        if self.peek()[:2] == ("op", "^"):
+        node, height = self.parse_atom()
+        kind, text, at = self.peek()
+        if (kind, text) == ("op", "^"):
             self.advance()
-            node = BinOp("^", node, self.parse_factor())
-        return node
+            exponent, exponent_height = self.parse_factor()
+            node = BinOp("^", node, exponent)
+            height = self.bounded(1 + max(height, exponent_height), at)
+        return node, height
 
     def parse_atom(self):
         kind, text, at = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            result = self.parse_expr()
             self.expect(")")
-            return node
+            return result
         if kind == "name":
             if self.peek()[:2] == ("op", "("):
                 if text not in FUNCTIONS:
                     raise UnknownFunction(f"unknown function {text!r}", at)
                 self.advance()
-                arg = self.parse_expr()
+                arg, height = self.parse_expr()
                 self.expect(")")
-                return Call(text, arg)
+                return Call(text, arg), self.bounded(1 + height, at)
             if text in CONSTANTS:
-                return Const(text)
-            return Var(text)
+                return Const(text), 1
+            return Var(text), 1
         raise ExprSyntaxError("expected a value", at)
 
 
 def parse_expr(source: str) -> Expr:
     """Parse expression text into an immutable tree; a bare name that is
-    not a known constant parses as a variable."""
+    not a known constant parses as a variable.  A tree higher than
+    MAX_DEPTH, or nested deeper, is a syntax error."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "end":
         raise ExprSyntaxError("trailing input", at)

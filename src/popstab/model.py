@@ -168,6 +168,8 @@ def _reference(entries, roles) -> ReferenceEigenpair | None:
             raise MissingKey("ref_phi given without ref_lambda")
         return None
     lam = _number(entries, "ref_lambda")
+    if not math.isfinite(lam):
+        raise ConfigSyntax(f"ref_lambda must be finite, got {entries['ref_lambda']}")
     phi = None
     if "ref_phi" in entries:
         phi = coefficient(entries["ref_phi"], roles["ref_phi"], "ref_phi")

@@ -18,10 +18,14 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemble
-from .grid import cheb_grid, interp_matrix
+from .grid import interp_matrix
 from .linalg import NoConvergence, SingularMatrix, eigenvalues, eigenvector, norm_inf
 from .model import Model, NonpositiveVelocity, ReferenceEigenpair
-from .quad import CCRule, cc_weights
+
+
+# The failures of one discretization: a sweep records them and goes on, the
+# command line exits 3 on them.
+NUMERICAL_ERRORS = (GeneratorOverflow, SingularMatrix, NoConvergence, NonpositiveVelocity)
 
 
 class MissingReference(ValueError):
@@ -41,25 +45,21 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenReport:
-    """Spectrum of a generator, optionally matched against a reference.
+    """All eigenvalues of a generator, sorted by descending real part (ties
+    by descending imaginary part).
 
-    Eigenvalues are sorted by descending real part (ties by descending
-    imaginary part).  No eigenvector is stored: each call of
-    :meth:`vector` computes one.  The matching fields are filled by
-    :func:`eigen_errors`.
+    No eigenvector is stored: each call of :meth:`vector` computes one.
     """
 
     eigenvalues: np.ndarray
-    abscissa: float
     generator: GeneratorMatrix
-    k: int
-    matched: complex | None = None
-    matched_vector: np.ndarray | None = None
-    eps_lambda: float | None = None
-    eps_phi: float | None = None
-    phi_samples: np.ndarray | None = None
+
+    @property
+    def abscissa(self) -> float:
+        """The spectral abscissa, the real part of the rightmost eigenvalue."""
+        return float(self.eigenvalues[0].real)
 
     @cached_property
     def matrix_norm(self) -> float:
@@ -97,12 +97,7 @@ def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
         raise ValueError(f"k must be in 1..{generator.dim}")
     values = eigenvalues(generator.matrix)
     values = values[np.lexsort((-values.imag, -values.real))]
-    return EigenReport(
-        eigenvalues=values,
-        abscissa=float(values[0].real),
-        generator=generator,
-        k=k,
-    )
+    return EigenReport(values, generator)
 
 
 def _along(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -136,60 +131,38 @@ def reconstruct_eigenfunction(psi, axes: tuple[Axis, ...], *targets):
     return values
 
 
-def default_error_rule(generator: GeneratorMatrix) -> tuple[CCRule, ...]:
-    """Evaluation rules for eigenfunction errors: degree 2n on each axis."""
-    return tuple(
-        cc_weights(cheb_grid(ax.grid.a, ax.grid.b, 2 * ax.n)) for ax in generator.axes
-    )
+def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex, float, float]:
+    """The eigenvalue of the report nearest the reference and the absolute
+    errors of that eigenpair: ``(lam, eps_lambda, eps_phi)``.
 
-
-def _match_reference(report: EigenReport, lam_ref: float) -> int:
-    values = report.eigenvalues
-    dist = np.abs(values - lam_ref)
-    order = np.lexsort((-values.imag, -values.real, dist))
-    return int(order[0])
-
-
-def eigen_errors(
-    report: EigenReport,
-    ref: ReferenceEigenpair,
-    rules: tuple[CCRule, ...] | None = None,
-) -> tuple[float, float]:
-    """Absolute errors of the matched eigenpair against the reference.
-
-    The matched eigenvalue minimizes the modulus of the difference from the
-    reference.  The reconstructed eigenfunction is aligned with the
+    The matched eigenvalue is the one nearest the reference, the first in
+    the report's order on a tie.  Its eigenfunction is aligned with the
     reference by the complex scalar minimizing the weighted L2 distance on
-    the tensor grid of ``rules`` (one rule per axis), and the
-    eigenfunction error is the weighted L1 norm of the aligned difference.
-    Both errors are stored on the report.
+    the tensor grid of the degree-2n Clenshaw-Curtis rule of each axis,
+    and eps_phi is the weighted L1 norm of the aligned difference (nan
+    when the reference has no eigenfunction).
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
-    generator = report.generator
-    if rules is None:
-        rules = default_error_rule(generator)
-    idx = _match_reference(report, ref.lam)
-    lam_hat = complex(report.eigenvalues[idx])
+    values = report.eigenvalues
+    idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
+    lam = complex(values[idx])
     psi = report.vector(idx)
-    eps_lambda = float(abs(lam_hat - ref.lam))
-    report.matched = lam_hat
-    report.matched_vector = psi
-    report.eps_lambda = eps_lambda
+    eps_lambda = float(abs(lam - ref.lam))
     if ref.phi is None:
-        report.eps_phi = float("nan")
-        return eps_lambda, report.eps_phi
+        return lam, eps_lambda, float("nan")
+    axes = report.generator.axes
+    rules = [ax.cubature(2)[0] for ax in axes]
     nodes = [rule.nodes for rule in rules]
     # values beyond the float range make eps_phi inf or nan, not a warning
     with np.errstate(all="ignore"):
-        phi_hat = reconstruct_eigenfunction(psi, generator.axes, *nodes)
+        phi_hat = reconstruct_eigenfunction(psi, axes, *nodes)
         phi_ref = _samples(ref.phi, "ref_phi", *np.ix_(*nodes))
         weights = reduce(np.multiply.outer, [rule.weights for rule in rules])
         denom = np.sum(weights * np.abs(phi_hat) ** 2)
         scale = np.sum(weights * np.conj(phi_hat) * phi_ref) / denom
-        report.phi_samples = scale * phi_hat
-        report.eps_phi = float(np.sum(weights * np.abs(scale * phi_hat - phi_ref)))
-    return eps_lambda, report.eps_phi
+        eps_phi = float(np.sum(weights * np.abs(scale * phi_hat - phi_ref)))
+    return lam, eps_lambda, eps_phi
 
 
 def stability_verdict(abscissa: float, tol: float) -> Verdict:
@@ -219,36 +192,20 @@ def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[Converg
     for n in n_list:
         m = dict(zip("nm", [n] * model.dimension)).get("m")  # None in 1-D
         start = time.perf_counter()
+        lam, error = None, None
+        eps_lambda = eps_phi = abscissa = matrix_norm = math.nan
         try:
-            generator = assemble(model, n, oversample=oversample)
-            report = compute_spectrum(generator, k=1)
-            eps_lambda, eps_phi = eigen_errors(report, ref)
-            records.append(
-                ConvergenceRecord(
-                    n=n,
-                    m=m,
-                    eps_lambda=eps_lambda,
-                    eps_phi=eps_phi,
-                    lam=report.matched,
-                    abscissa=report.abscissa,
-                    matrix_norm=report.matrix_norm,
-                    seconds=time.perf_counter() - start,
-                )
+            report = compute_spectrum(assemble(model, n, oversample=oversample), k=1)
+            lam, eps_lambda, eps_phi = eigen_errors(report, ref)
+            abscissa, matrix_norm = report.abscissa, report.matrix_norm
+        except NUMERICAL_ERRORS as exc:
+            error = str(exc)
+        records.append(
+            ConvergenceRecord(
+                n, m, eps_lambda, eps_phi, lam, abscissa, matrix_norm,
+                time.perf_counter() - start, error,
             )
-        except (SingularMatrix, NoConvergence, NonpositiveVelocity, GeneratorOverflow) as exc:
-            records.append(
-                ConvergenceRecord(
-                    n=n,
-                    m=m,
-                    eps_lambda=float("nan"),
-                    eps_phi=float("nan"),
-                    lam=None,
-                    abscissa=float("nan"),
-                    matrix_norm=float("nan"),
-                    seconds=time.perf_counter() - start,
-                    error=str(exc),
-                )
-            )
+        )
     return records
 
 

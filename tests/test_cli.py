@@ -287,6 +287,54 @@ def test_bad_coefficient_samples_exit_two(tmp_path, capsys, text, expected, poin
     assert point in lines[0]
 
 
+_FILE_1D_TEXT = 'x_min = 0\nx_max = 1\nmu = "1"\nbeta = "1"\n'
+_LONG_SUM = "+".join(["x"] * 3000)
+_DEEP_PARENS = "(" * 400 + "x" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "content, argv, expected",
+    [
+        (
+            _FILE_1D_TEXT.replace('mu = "1"', f'mu = "{_LONG_SUM}"').encode(),
+            ["spectrum", "--n", "4"],
+            "expression nested deeper than 100 levels",
+        ),
+        (
+            _FILE_1D_TEXT.replace('mu = "1"', f'mu = "{_DEEP_PARENS}"').encode(),
+            ["spectrum", "--n", "4"],
+            "expression nested deeper than 100 levels",
+        ),
+        (
+            _FILE_1D_TEXT.replace('beta = "1"', 'beta = "\xff"').encode("latin-1"),
+            ["spectrum", "--n", "4"],
+            "can't decode byte 0xff",
+        ),
+        (
+            (_FILE_1D_TEXT + "ref_lambda = nan\n").encode(),
+            ["converge", "--n-min", "2", "--n-max", "4"],
+            "ref_lambda must be finite, got nan",
+        ),
+        (
+            (_FILE_1D_TEXT + "ref_lambda = inf\n").encode(),
+            ["converge", "--n-min", "2", "--n-max", "4"],
+            "ref_lambda must be finite, got inf",
+        ),
+    ],
+    ids=["long-sum", "deep-parentheses", "not-utf8", "nan-ref-lambda", "inf-ref-lambda"],
+)
+def test_bad_model_files_exit_two(tmp_path, capsys, content, argv, expected):
+    path = tmp_path / "model.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("popstab: configuration error: ")
+    assert expected in lines[0]
+
+
 # Small pools for random model files: intervals with extreme ends, and
 # coefficients that are fine, undefined somewhere, or huge.
 _INTERVALS = (
@@ -317,7 +365,7 @@ def _model_files(draw):
         entries[f"{axis}_min"], entries[f"{axis}_max"] = draw(st.sampled_from(_INTERVALS))
     for role, pool in _COEFFICIENTS[dim].items():
         entries[role] = draw(st.sampled_from(pool))
-    entries["ref_lambda"] = draw(st.sampled_from((None, "-1", "-1", "1e300")))
+    entries["ref_lambda"] = draw(st.sampled_from((None, "-1", "-1", "1e300", "nan")))
     if entries["ref_lambda"] is not None:
         entries["ref_phi"] = draw(st.sampled_from((None, "1", "exp(x)", "log(x)")))
     return entries
@@ -348,6 +396,8 @@ _FILE_1D = {"x_min": "0", "x_max": "1", "mu": "1", "beta": "1"}
     n=4,
     m=None,
 )
+@example(entries={**_FILE_1D, "mu": _LONG_SUM}, command="spectrum", n=4, m=None)
+@example(entries={**_FILE_1D, "mu": _DEEP_PARENS}, command="spectrum", n=4, m=None)
 def test_random_model_files_never_end_in_a_traceback(entries, command, n, m):
     text = "".join(f'{key} = "{value}"\n' for key, value in entries.items() if value is not None)
     with tempfile.TemporaryDirectory() as tmp:

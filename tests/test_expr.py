@@ -3,6 +3,7 @@ import pytest
 
 from popstab import expr
 from popstab.expr import (
+    MAX_DEPTH,
     BinOp,
     DomainError,
     ExprSyntaxError,
@@ -163,3 +164,35 @@ def test_number_literals():
     assert ev("2.5E-2") == 0.025
     assert isinstance(parse_expr("7"), Num)
     assert isinstance(parse_expr("x"), Var)
+
+
+# a chain of 3000 terms (tree height 3000) and 400 nested parentheses
+LONG_SUM = "+".join(["x"] * 3000)
+DEEP_PARENS = "(" * 400 + "x" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "source",
+    [LONG_SUM, DEEP_PARENS, "-" * 3000 + "x", "2^" * 3000 + "x"],
+    ids=["sum", "parentheses", "minus", "power"],
+)
+def test_expressions_deeper_than_the_bound_are_syntax_errors(source):
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_expr(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "+".join(["x"] * MAX_DEPTH),
+        "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "sin(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "x",
+    ],
+    ids=["sum", "parentheses", "calls", "minus"],
+)
+def test_expressions_at_the_bound_parse_evaluate_and_round_trip(source):
+    tree = parse_expr(source)
+    assert free_vars(tree) == {"x"}
+    assert np.isfinite(eval_expr(tree, {"x": 0.5}))
+    assert parse_expr(to_source(tree)) == tree

@@ -238,3 +238,10 @@ def test_load_model_syntax_errors():
         with pytest.raises(ConfigSyntax, match="finite positive extent"):
             load_model(f'x_min = {x_min}\nx_max = {x_max}\nmu = "1"\nbeta = "1"\n')
 
+
+@pytest.mark.parametrize("ref_lambda", ["nan", "inf", "-inf"])
+def test_load_model_rejects_a_non_finite_reference_eigenvalue(ref_lambda):
+    text = f'x_min = 0\nx_max = 1\nmu = "1"\nbeta = "1"\nref_lambda = {ref_lambda}\n'
+    with pytest.raises(ConfigSyntax, match=f"ref_lambda must be finite, got {ref_lambda}"):
+        load_model(text)
+

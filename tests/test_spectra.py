@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from popstab.assembly import (
     collocation_axis,
     collocation_grids,
 )
+from popstab.grid import cheb_grid
 from popstab.linalg import eigenvector, norm_inf
 from popstab.model import (
     BUILTIN_NAMES,
@@ -20,14 +23,15 @@ from popstab.model import (
     coefficient,
     load_model,
 )
+from popstab.quad import cc_weights
 from popstab.spectra import (
     ConvergenceRecord,
+    EigenReport,
     InsufficientData,
     MissingReference,
     Verdict,
     compute_spectrum,
     convergence_sweep,
-    default_error_rule,
     eigen_errors,
     fit_order,
     plateau_threshold,
@@ -43,11 +47,16 @@ def _wrap_matrix(matrix):
 
 
 def _analyze(model, n):
-    """Assemble at degree n (m = n in 2-D), solve, and measure errors."""
+    """Assemble at degree n (m = n in 2-D), solve, and measure errors:
+    the report and eigen_errors' (lam, eps_lambda, eps_phi)."""
     generator = assemble(model, n)
     report = compute_spectrum(generator, k=min(10, generator.dim))
-    eigen_errors(report, model.reference)
-    return report
+    return report, *eigen_errors(report, model.reference)
+
+
+def _vector_of(report, lam):
+    """The report's eigenvector of its eigenvalue lam."""
+    return report.vector(list(report.eigenvalues).index(lam))
 
 
 def test_spectrum_of_diagonal():
@@ -115,9 +124,8 @@ def test_reconstruct_needs_one_target_array_per_axis(n_targets):
 
 def test_ex12_eigenfunction_error_small():
     model, ref = builtin("ex1_2")
-    report = _analyze(model, 15)
-    assert report.eps_phi <= 1e-8
-    assert report.phi_samples is not None
+    _, _, _, eps_phi = _analyze(model, 15)
+    assert eps_phi <= 1e-8
 
 
 def test_matched_eigenvalue_error_offsets():
@@ -126,7 +134,7 @@ def test_matched_eigenvalue_error_offsets():
     report = compute_spectrum(gen, k=3)
     lam_hat = min(report.eigenvalues, key=lambda z: abs(z + 1.0))
     ref = ReferenceEigenpair(lam_hat.real + 1e-6, None, "shifted")
-    eps_lambda, eps_phi = eigen_errors(report, ref)
+    _, eps_lambda, eps_phi = eigen_errors(report, ref)
     assert eps_lambda == pytest.approx(1e-6, rel=1e-6)
     assert np.isnan(eps_phi)  # no reference eigenfunction given
 
@@ -138,7 +146,7 @@ def test_alignment_is_scale_invariant():
     scaled = ReferenceEigenpair(
         ref.lam, coefficient("3", ("x", "y"), "ref_phi"), "scaled"
     )
-    _, eps_phi = eigen_errors(report, scaled)
+    _, _, eps_phi = eigen_errors(report, scaled)
     assert eps_phi <= 1e-12
 
 
@@ -146,10 +154,10 @@ def test_alignment_is_least_squares_optimal():
     model, ref = builtin("ex1_3")
     gen = assemble_2d(model, 8, 8)
     report = compute_spectrum(gen, k=1)
-    eigen_errors(report, ref)
-    x_rule, y_rule = default_error_rule(gen)
+    lam, _, _ = eigen_errors(report, ref)
+    x_rule, y_rule = (ax.cubature(2)[0] for ax in gen.axes)
     xs, ys = x_rule.nodes, y_rule.nodes
-    phi_hat = reconstruct_eigenfunction(report.matched_vector, gen.axes, xs, ys)
+    phi_hat = reconstruct_eigenfunction(_vector_of(report, lam), gen.axes, xs, ys)
     phi_ref = ref.phi(xs[:, None], ys[None, :])
     w = np.outer(x_rule.weights, y_rule.weights)
     c_best = np.sum(w * np.conj(phi_hat) * phi_ref) / np.sum(w * np.abs(phi_hat) ** 2)
@@ -168,25 +176,25 @@ def test_conjugate_pair_tie_break_is_deterministic():
     m = np.array([[-0.5, 0.2, 0.0], [-0.2, -0.5, 0.0], [0.0, 0.0, -1.0]])
     report = compute_spectrum(_wrap_matrix(m), k=3)
     ref = ReferenceEigenpair(-0.5, None, "pair")
-    eigen_errors(report, ref)
-    assert report.matched.imag > 0
-    assert abs(report.matched - (-0.5 + 0.2j)) <= 1e-12
+    lam, _, _ = eigen_errors(report, ref)
+    assert lam.imag > 0
+    assert abs(lam - (-0.5 + 0.2j)) <= 1e-12
 
 
 def test_matched_residual_invariant():
     for name, n in (("ex1_2", 8), ("ex1_4", 10), ("velocity", 10), ("appendix1d", 12)):
         model, ref = builtin(name)
-        report = _analyze(model, n)
+        report, lam, _, _ = _analyze(model, n)
         gen = report.generator
-        psi = report.matched_vector
-        residual = norm_inf(gen.matrix @ psi - report.matched * psi)
+        psi = _vector_of(report, lam)
+        residual = norm_inf(gen.matrix @ psi - lam * psi)
         assert residual <= 1e-8 * norm_inf(gen.matrix) * norm_inf(psi), name
 
 
 def test_rightmost_consistency():
     model, ref = builtin("ex1_1")
-    report = _analyze(model, 5)
-    assert abs(report.matched - report.abscissa) <= 1e-6
+    report, lam, _, _ = _analyze(model, 5)
+    assert abs(lam - report.abscissa) <= 1e-6
     assert report.abscissa == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -293,11 +301,35 @@ def test_compute_spectrum_k_validation():
 
 
 def test_error_rule_uses_doubled_degree():
-    model, _ = builtin("ex1_1")
-    gen = assemble_2d(model, 6, 4)
-    x_rule, y_rule = default_error_rule(gen)
-    assert x_rule.grid.n == 12
-    assert y_rule.grid.n == 8
+    # eps_phi, computed by hand on the degree-2n Clenshaw-Curtis rule of
+    # each axis (n = 6 along x, m = 4 along y), bit for bit
+    model, ref = builtin("ex1_3")
+    gen = assemble(model, 6, 4)
+    report = compute_spectrum(gen, k=1)
+    lam, _, eps_phi = eigen_errors(report, ref)
+    x_rule, y_rule = (
+        cc_weights(cheb_grid(a, b, 2 * ax.n)) for (a, b), ax in zip(model.bounds, gen.axes)
+    )
+    xs, ys = x_rule.nodes, y_rule.nodes
+    phi_hat = reconstruct_eigenfunction(_vector_of(report, lam), gen.axes, xs, ys)
+    phi_ref = ref.phi(xs[:, None], ys[None, :])
+    w = np.multiply.outer(x_rule.weights, y_rule.weights)
+    scale = np.sum(w * np.conj(phi_hat) * phi_ref) / np.sum(w * np.abs(phi_hat) ** 2)
+    assert eps_phi == float(np.sum(w * np.abs(scale * phi_hat - phi_ref)))
+    assert eps_phi > 0
+
+
+def test_eigen_errors_leaves_the_frozen_report_unchanged():
+    assert [f.name for f in dataclasses.fields(EigenReport)] == ["eigenvalues", "generator"]
+    model, ref = builtin("ex1_2")
+    report = compute_spectrum(assemble(model, 6), k=1)
+    before = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    values = report.eigenvalues.copy()
+    eigen_errors(report, ref)
+    assert {f.name: getattr(report, f.name) for f in dataclasses.fields(report)} == before
+    assert np.array_equal(report.eigenvalues, values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.eigenvalues = values
 
 
 def _assert_residual_bound(matrix, lam, psi):
