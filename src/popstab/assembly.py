@@ -32,16 +32,19 @@ a strided view of the diagonal blocks, each row factor is added through a
 broadcast view of the matrix, and products with E_x (x) E_y and
 D_x (x) D_y act per axis on the (n, m) tensor of a row.  Cumulative
 integrals are solves with the LU factors of the trimmed matrices, made
-once per axis.  Coefficient samples that are undefined (log or sqrt
-outside their domain) or not finite raise :class:`InvalidSample`, naming
-the coefficient and the first such sample point.
+once per axis.  An axis depends only on its interval and degree, so it is
+built once per (interval, degree) and shared by every generator that uses
+it, with its lazy LU factors and cubature; its arrays are read-only.
+Coefficient samples that are undefined (log or sqrt outside their domain)
+or not finite raise :class:`InvalidSample`, naming the coefficient and
+the first such sample point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,10 +60,16 @@ class GeneratorOverflow(ArithmeticError):
     """The generator has entries beyond the float range."""
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Axis:
     """One collocation axis: its Chebyshev grid, trimmed D and (as ``lu``,
-    made on first use) the pivoted LU factors of D."""
+    made on first use) the pivoted LU factors of D.  Axes are shared (see
+    :func:`collocation_axis`), so every array they hand out is read-only."""
 
     grid: ChebGrid
     d: np.ndarray
@@ -81,16 +90,27 @@ class Axis:
         first use."""
         if oversample not in self._cubatures:
             rule = cc_weights(cheb_grid(self.grid.a, self.grid.b, oversample * self.n))
-            self._cubatures[oversample] = rule, interp_matrix(self.theta, rule.nodes)
+            interp = interp_matrix(self.theta, rule.nodes)
+            _read_only(rule.nodes, rule.grid.bary_weights, rule.weights, interp)
+            self._cubatures[oversample] = rule, interp
         return self._cubatures[oversample]
 
-    lu = cached_property(lambda self: lu_factor(self.d))
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        factors = lu_factor(self.d)
+        _read_only(*factors)
+        return factors
 
 
+# 32 axes: a threshold scan repeats one (interval, degree) per axis, a
+# convergence sweep needs at most two per degree.
+@lru_cache(maxsize=32)
 def collocation_axis(a: float, b: float, n: int) -> Axis:
-    """The degree-n axis on [a, b]."""
+    """The degree-n axis on [a, b], built once per (a, b, n) and shared."""
     grid = cheb_grid(a, b, n)
-    return Axis(grid, diff_ops(grid).trimmed)
+    d = diff_ops(grid).trimmed
+    _read_only(grid.nodes, grid.bary_weights, d)
+    return Axis(grid, d)
 
 
 def collocation_grids(model: Model, *degrees: int) -> tuple[Axis, ...]:

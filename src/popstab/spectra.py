@@ -140,17 +140,18 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     reference by the complex scalar minimizing the weighted L2 distance on
     the tensor grid of the degree-2n Clenshaw-Curtis rule of each axis,
     and eps_phi is the weighted L1 norm of the aligned difference (nan
-    when the reference has no eigenfunction).
+    when the reference has no eigenfunction, and then no eigenvector is
+    computed).
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
     values = report.eigenvalues
     idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
     lam = complex(values[idx])
-    psi = report.vector(idx)
     eps_lambda = float(abs(lam - ref.lam))
     if ref.phi is None:
         return lam, eps_lambda, float("nan")
+    psi = report.vector(idx)
     axes = report.generator.axes
     rules = [ax.cubature(2)[0] for ax in axes]
     nodes = [rule.nodes for rule in rules]

@@ -11,6 +11,7 @@ from popstab.assembly import (
     assemble_2d,
     assemble_boundary,
     assemble_mortality,
+    collocation_axis,
     collocation_grids,
 )
 from popstab.grid import cheb_grid, diff_ops, interp_matrix
@@ -268,10 +269,76 @@ def test_each_trimmed_d_is_factored_once(monkeypatch):
     factor = assembly.lu_factor
     factored = []
     monkeypatch.setattr(assembly, "lu_factor", lambda a: factored.append(a) or factor(a))
+    collocation_axis.cache_clear()
     gen = assemble(builtin("ex1_4")[0], 6, 5)
     assert len(factored) == 2
     for a, ax in zip(factored, gen.axes):
         assert np.array_equal(a, ax.d)
+    # the axes, with their factors, are shared by the next generator
+    assemble(builtin("ex1_4")[0], 6, 5)
+    assert len(factored) == 2
+
+
+def test_generators_of_one_interval_and_degree_share_their_axes():
+    model, _ = builtin("ex1_4")
+    first, second = assemble(model, 6, 5), assemble(model, 6, 5)
+    assert all(a is b for a, b in zip(first.axes, second.axes, strict=True))
+    one_d = load(FILE_1D)
+    assert assemble(one_d, 7).axes[0] is assemble(one_d, 7).axes[0]
+    # an axis depends on its interval and degree, not on the model
+    (x_axis,) = collocation_grids(load(FILE_1D.replace("x^2 + 1", "3")), 7)
+    assert x_axis is assemble(one_d, 7).axes[0]
+
+
+def _axis_arrays(ax):
+    """Every array an axis hands out, with its LU factors and cubature."""
+    rule, interp = ax.cubature(2)
+    return [*_held_arrays(ax), ax.theta, *ax.lu, *_held_arrays(rule), interp]
+
+
+def test_axis_arrays_are_read_only():
+    (ax,) = collocation_grids(load(FILE_1D), 5)
+    arrays = _axis_arrays(ax)
+    assert len(arrays) == 10
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def test_cached_axis_equals_a_fresh_build():
+    for a, b, n in [(0.5, 2.0, 5), (0.0, 1.0, 12), (-3.0, 1e3, 30)]:
+        cached = collocation_axis(a, b, n)
+        fresh = collocation_axis.__wrapped__(a, b, n)
+        assert fresh is not cached
+        for x, y in zip(_axis_arrays(cached), _axis_arrays(fresh), strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+def _renewal_bisection(clear_cache: bool) -> list[np.ndarray]:
+    """The generators of eight bisection steps for the stability threshold
+    c* = 2 / (1 - e^-4) of mu = 1, beta = c exp(-x) on [0, 2]."""
+    lo, hi = 1.0, 3.0
+    matrices = []
+    for _ in range(8):
+        c = 0.5 * (lo + hi)
+        model = load(f'x_min = 0\nx_max = 2\nmu = "1"\nbeta = "{c!r} * exp(-x)"\n')
+        if clear_cache:
+            collocation_axis.cache_clear()
+        gen = assemble(model, 30)
+        matrices.append(gen.matrix)
+        if compute_spectrum(gen, k=1).abscissa < 0:
+            lo = c
+        else:
+            hi = c
+    assert lo < 2.0 / (1.0 - np.exp(-4.0)) < hi
+    return matrices
+
+
+def test_bisection_generators_do_not_depend_on_the_axis_cache():
+    shared, rebuilt = _renewal_bisection(False), _renewal_bisection(True)
+    for a, b in zip(shared, rebuilt, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_nonseparable_mortality_is_subtracted_after_the_boundary_rows():

@@ -168,6 +168,23 @@ def test_converge_exits_three_when_every_degree_failed(tmp_path, capsys, text, e
     assert out_svg.exists()
 
 
+def test_converge_without_reference_eigenfunction_computes_no_eigenvector(tmp_path, capsys):
+    # the tiny-domain file above without ref_phi: eps_lambda needs only the
+    # eigenvalue, so the inverse iteration that fails there is never run
+    model = tmp_path / "model.txt"
+    model.write_text('x_min = 0\nx_max = 1e-300\nmu = "1"\nbeta = "1"\nref_lambda = -1\n')
+    out_csv = tmp_path / "conv.csv"
+    code, _, err = run(
+        capsys, "converge", "--model", str(model), "--n-min", "2", "--n-max", "4",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert err == ""
+    rows = [row.split(",") for row in out_csv.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["2", "3", "4"]
+    assert all(np.isfinite(float(row[4])) and row[3] == "nan" for row in rows)
+
+
 def test_converge_svg_does_not_change_csv(tmp_path, capsys):
     plain_csv = tmp_path / "plain.csv"
     args = ["converge", "--model", "builtin:appendix1d",

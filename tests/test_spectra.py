@@ -243,6 +243,12 @@ def test_sweep_reads_one_eigenvector_per_degree(monkeypatch):
     records = convergence_sweep(model, range(5, 16, 5))
     assert all(r.error is None for r in records)
     assert shifts == [r.lam for r in records]
+    # without a reference eigenfunction nothing reads an eigenvector
+    shifts.clear()
+    no_phi = load_model('x_min = 0\nx_max = 2\nmu = "1"\nbeta = "exp(-x)"\nref_lambda = -1\n')
+    records = convergence_sweep(no_phi, range(5, 16, 5))
+    assert all(r.error is None and np.isnan(r.eps_phi) for r in records)
+    assert shifts == []
 
 
 def test_undefined_reference_eigenfunction_is_an_invalid_sample():
