@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -157,6 +158,21 @@ def cmd_examples(args) -> int:
 _SVG_W, _SVG_H = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 36, 50
 _SERIES = (("eps_lambda", "#1f77b4", "circle"), ("eps_phi", "#d62728", "square"))
+# markup characters, and characters XML 1.0 cannot carry: controls, and the
+# lone surrogates that stand for undecodable bytes in a file name
+_XML_SPECIAL = re.compile(r"[&<>\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_XML_ENTITIES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+
+
+def _xml_text(text: str) -> str:
+    """``text`` as XML character data: markup characters as entities, and
+    each character XML cannot carry as its Python backslash escape.  (Not
+    ``xml.sax.saxutils.escape``: importing it loads ``urllib.request`` and
+    ``ssl``, over 1 MB of memory.)"""
+    return _XML_SPECIAL.sub(
+        lambda c: _XML_ENTITIES.get(c.group()) or c.group().encode("unicode_escape").decode(),
+        text,
+    )
 
 
 def _svg_points(records, fieldname):
@@ -189,15 +205,18 @@ def write_convergence_svg(path, title, records, slopes, guide_slopes=None) -> No
     def sx(n):
         return _MARGIN_L + (math.log10(n) - x_lo) / (x_hi - x_lo) * plot_w
 
+    def sy_log(log_err):
+        return _MARGIN_T + (y_hi - log_err) / (y_hi - y_lo) * plot_h
+
     def sy(err):
-        return _MARGIN_T + (y_hi - math.log10(err)) / (y_hi - y_lo) * plot_h
+        return sy_log(math.log10(err))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_xml_text(title)}</text>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black"/>',
     ]
@@ -231,17 +250,18 @@ def write_convergence_svg(path, title, records, slopes, guide_slopes=None) -> No
             continue
         n_ref, e_ref = anchors[len(anchors) // 2]
         n0, n1 = 10.0 ** x_lo, 10.0 ** x_hi
-        e0 = e_ref * (n0 / n_ref) ** slope
-        e1 = e_ref * (n1 / n_ref) ** slope
-        lo, hi = 10.0 ** y_lo, 10.0 ** y_hi
-        e0 = min(max(e0, lo), hi)
-        e1 = min(max(e1, lo), hi)
-        parts.append(
-            f'<line x1="{sx(n0):.1f}" y1="{sy(e0):.1f}" x2="{sx(n1):.1f}" '
-            f'y2="{sy(e1):.1f}" stroke="#999999" stroke-dasharray="6,4"/>'
+        # end points in log10 space, clipped to the decades shown, so that
+        # no finite slope overflows
+        l0, l1 = (
+            min(max(math.log10(e_ref) + slope * (x - math.log10(n_ref)), y_lo), y_hi)
+            for x in (x_lo, x_hi)
         )
         parts.append(
-            f'<text x="{sx(n1) - 4:.1f}" y="{sy(e1) - 4:.1f}" text-anchor="end" '
+            f'<line x1="{sx(n0):.1f}" y1="{sy_log(l0):.1f}" x2="{sx(n1):.1f}" '
+            f'y2="{sy_log(l1):.1f}" stroke="#999999" stroke-dasharray="6,4"/>'
+        )
+        parts.append(
+            f'<text x="{sx(n1) - 4:.1f}" y="{sy_log(l1) - 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10" fill="#777777">slope {slope:g}</text>'
         )
     legend_y = _MARGIN_T + 16
@@ -328,6 +348,9 @@ def _option_error(args) -> str | None:
     tol = getattr(args, "tol", None)
     if tol is not None and not tol >= 0:
         return f"--tol must be nonnegative, got {tol}"
+    for slope in getattr(args, "guide_slope", None) or ():
+        if not math.isfinite(slope):
+            return f"--guide-slope must be finite, got {slope}"
     n_min = getattr(args, "n_min", None)
     if n_min is not None and n_min > args.n_max:
         return f"--n-min must not exceed --n-max, got {n_min} > {args.n_max}"

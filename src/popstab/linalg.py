@@ -138,14 +138,17 @@ def eigenvector(m, lam: complex, norm: float) -> np.ndarray:
     ``norm`` is ``norm_inf(m)``.  Inverse iteration with the shifted matrix
     ``m - lam I`` (real arithmetic for a real ``lam``) from a fixed start,
     so the conjugate of ``lam`` gets the conjugate vector.  The result has
-    unit norm and a real, positive first significant component.
+    unit norm and a real, positive first significant component.  Beside
+    ``m`` it allocates one dim x dim array: the shifted matrix, factored in
+    place (complex, so twice the bytes of ``m``, for a complex ``lam``).
     """
     dim = m.shape[0]
+    # Fortran order, so that getrf factors this one copy in place
     if lam.imag == 0:
-        shifted = m.copy()
+        shifted = np.array(m, order="F")
         shifted[np.diag_indices(dim)] -= lam.real
     else:
-        shifted = m.astype(complex)
+        shifted = m.astype(complex, order="F")
         shifted[np.diag_indices(dim)] -= lam
     with warnings.catch_warnings():
         # the shifted matrix is singular on purpose; tiny pivots are

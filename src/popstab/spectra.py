@@ -177,6 +177,16 @@ def stability_verdict(abscissa: float, tol: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def _sweep_degree(model: Model, n: int, oversample: int, ref: ReferenceEigenpair):
+    """``(lam, eps_lambda, eps_phi, abscissa, matrix_norm)`` at degree n.
+
+    The report, and with it the generator, dies on return, so a sweep never
+    holds one degree's generator while it assembles the next.
+    """
+    report = compute_spectrum(assemble(model, n, oversample=oversample), k=1)
+    return (*eigen_errors(report, ref), report.abscissa, report.matrix_norm)
+
+
 def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[ConvergenceRecord]:
     """Errors against ``model.reference`` for each degree in n_list (with
     m = n for 2-D models).
@@ -196,9 +206,9 @@ def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[Converg
         lam, error = None, None
         eps_lambda = eps_phi = abscissa = matrix_norm = math.nan
         try:
-            report = compute_spectrum(assemble(model, n, oversample=oversample), k=1)
-            lam, eps_lambda, eps_phi = eigen_errors(report, ref)
-            abscissa, matrix_norm = report.abscissa, report.matrix_norm
+            lam, eps_lambda, eps_phi, abscissa, matrix_norm = _sweep_degree(
+                model, n, oversample, ref
+            )
         except NUMERICAL_ERRORS as exc:
             error = str(exc)
         records.append(

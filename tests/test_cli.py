@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -201,6 +202,41 @@ def test_converge_svg_does_not_change_csv(tmp_path, capsys):
     assert "slope -3" in text
 
 
+@pytest.mark.parametrize(
+    "name, shown",
+    [("a&b<c.txt", "a&b<c.txt"), ("a\x01b.txt", "a\\x01b.txt"),
+     (os.fsdecode(b"a\xffb.txt"), "a\\udcffb.txt")],
+    ids=["markup", "control-character", "undecodable-byte"],
+)
+def test_converge_svg_title_is_well_formed(tmp_path, capsys, name, shown):
+    model = tmp_path / name
+    model.write_text('x_min = 0\nx_max = 1\nmu = "1"\nbeta = "1"\nref_lambda = -1\n')
+    svg = tmp_path / "plot.svg"
+    code, _, err = run(capsys, "converge", "--model", str(model),
+                       "--n-min", "4", "--n-max", "12", "--n-step", "4", "--svg", str(svg))
+    assert (code, err) == (0, "")
+    root = ET.parse(svg).getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == os.path.join(tmp_path, shown)
+
+
+def test_huge_guide_slopes_are_clipped_to_the_plot(tmp_path, capsys):
+    svg = tmp_path / "plot.svg"
+    code, _, err = run(capsys, "converge", "--model", "builtin:appendix1d",
+                       "--n-min", "4", "--n-max", "12", "--n-step", "4", "--svg", str(svg),
+                       "--guide-slope", "1e308", "--guide-slope=-1e308")
+    assert code == 0
+    assert err == ""
+    root = ET.parse(svg).getroot()
+    frame = root.findall("{http://www.w3.org/2000/svg}rect")[1]
+    top, height = float(frame.get("y")), float(frame.get("height"))
+    guides = [line for line in root.iter("{http://www.w3.org/2000/svg}line")
+              if line.get("stroke-dasharray")]
+    assert len(guides) == 2
+    for line in guides:
+        for y in (float(line.get("y1")), float(line.get("y2"))):
+            assert top <= y <= top + height
+
+
 def test_converge_prints_fitted_orders(capsys):
     code, out, _ = run(
         capsys, "converge", "--model", "builtin:ex2_3",
@@ -273,8 +309,15 @@ def test_nonpositive_integer_arguments_exit_two(capsys, argv):
          "--n-min must not exceed --n-max"),
         (("spectrum", "--model", "builtin:appendix1d", "--n", "4", "--m", "9"),
          "--m needs a 2-D model"),
+        *(
+            (("converge", "--model", "builtin:appendix1d", "--n-min", "4", "--n-max", "12",
+              "--guide-slope", "-3", f"--guide-slope={slope}"),
+             f"--guide-slope must be finite, got {float(slope)}")
+            for slope in ("nan", "inf", "-inf")
+        ),
     ],
-    ids=["negative-tol", "empty-degree-range", "m-on-1d-model"],
+    ids=["negative-tol", "empty-degree-range", "m-on-1d-model",
+         "nan-guide-slope", "inf-guide-slope", "minus-inf-guide-slope"],
 )
 def test_out_of_range_options_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)

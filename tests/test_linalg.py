@@ -227,3 +227,27 @@ def test_prebalanced_eigenvalues_allocate_one_matrix():
         tracemalloc.stop()
     # one dim^2 float64 copy, plus geev's workspace and the vectors
     assert peak <= 1.25 * a.nbytes
+
+
+def test_eigenvector_allocates_one_shifted_copy():
+    # beside the generator: one dim^2 copy of the shifted matrix, factored
+    # in place; complex for a complex shift, so twice the real bytes
+    g = assemble(builtin("ex2_1")[0], 24).matrix
+    values = eigenvalues(g)
+    norm = norm_inf(g)
+    before = g.copy()
+    for lam, bound in [
+        (values[values.imag == 0][0], 1.25),
+        (values[values.imag != 0][0], 2.25),
+    ]:
+        first = eigenvector(g, lam, norm)  # warm up lazy imports
+        tracemalloc.start()
+        try:
+            again = eigenvector(g, lam, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * g.nbytes, lam
+        assert np.array_equal(again, first)
+        assert np.array_equal(eigenvector(np.asfortranarray(g), lam, norm), first)
+    assert np.array_equal(g, before)

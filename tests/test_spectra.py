@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ def test_sweep_reads_one_eigenvector_per_degree(monkeypatch):
     records = convergence_sweep(no_phi, range(5, 16, 5))
     assert all(r.error is None and np.isnan(r.eps_phi) for r in records)
     assert shifts == []
+
+
+def test_sweep_holds_one_generator_at_a_time():
+    # each degree's report, and its generator, dies before the next degree
+    # is assembled: the peak is the n = 24 generator plus the balanced copy
+    model, _ = builtin("ex2_1")
+    convergence_sweep(model, [4])  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        records = convergence_sweep(model, [16, 20, 24])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in records)
+    assert peak <= 2.25 * (24 * 24) ** 2 * 8
 
 
 def test_undefined_reference_eigenfunction_is_an_invalid_sample():
