@@ -177,7 +177,9 @@ def stability_verdict(abscissa: float, tol: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def _sweep_degree(model: Model, n: int, oversample: int, ref: ReferenceEigenpair):
+def _sweep_degree(
+    model: Model, n: int, oversample: int, ref: ReferenceEigenpair
+) -> tuple[complex, float, float, float, float]:
     """``(lam, eps_lambda, eps_phi, abscissa, matrix_norm)`` at degree n.
 
     The report, and with it the generator, dies on return, so a sweep never
