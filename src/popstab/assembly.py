@@ -27,17 +27,22 @@ A mu that is not separable instead keeps the whole block
 (n, m, n, m) tensor, subtracted after the boundary rows.  A 1-D model is
 the one-axis case: generator = -D - D^{-1} diag(mu) D + 1 (w beta)^T E D.
 
-The generator is the only nm x nm array formed: each P_k is written into
-a strided view of the diagonal blocks, each row factor is added through a
-broadcast view of the matrix, and products with E_x (x) E_y and
-D_x (x) D_y act per axis on the (n, m) tensor of a row.  Cumulative
-integrals are solves with the LU factors of the trimmed matrices, made
-once per axis.  An axis depends only on its interval and degree, so it is
-built once per (interval, degree) and shared by every generator that uses
-it, with its lazy LU factors and cubature; its arrays are read-only.
-Coefficient samples that are undefined (log or sqrt outside their domain)
-or not finite raise :class:`InvalidSample`, naming the coefficient and
-the first such sample point.
+A :class:`GeneratorMatrix` keeps these factors: the blocks P_k, the row
+factors V_alpha and V_beta, and the samples of a mu that is not separable.
+Assembly forms no nm x nm array.  The dense matrix is built from the
+factors on first use, and is then the only nm x nm array (with the whole
+mortality block while it is subtracted): each P_k is written into a
+strided view of the diagonal blocks and each row factor is added through a
+broadcast view of the matrix.  Products with E_x (x) E_y and D_x (x) D_y
+act per axis on the (n, m) tensor of a row.  Non-finite factors, or a
+non-finite entry of the dense matrix, raise :class:`GeneratorOverflow`.
+Cumulative integrals are solves with the LU factors of the trimmed
+matrices, made once per axis.  An axis depends only on its interval and
+degree, so it is built once per (interval, degree) and shared by every
+generator that uses it, with its lazy LU factors and cubature; its arrays
+are read-only.  Coefficient samples that are undefined (log or sqrt
+outside their domain) or not finite raise :class:`InvalidSample`, naming
+the coefficient and the first such sample point.
 """
 
 from __future__ import annotations
@@ -123,18 +128,50 @@ def collocation_grids(model: Model, *degrees: int) -> tuple[Axis, ...]:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Discretized generator with its axes (x in 1-D; x and y in 2-D).
+    """Discretized generator with its axes (x in 1-D; x and y in 2-D), kept
+    as the factors it is made of.
 
-    Entries are indexed by tuples of inner-node indices, one per axis, in
-    lexicographic order.
+    ``blocks`` holds one block P_k = diag(g_k) D_k + M_k per axis, and
+    ``rows`` the boundary row factor of each axis (see
+    :func:`_boundary_rows`); ``mu`` holds the samples of a mu that is not
+    separable (then every M_k is 0), else None.  ``matrix`` is built from
+    them on first use.  Entries are indexed by tuples of inner-node
+    indices, one per axis, in lexicographic order.
     """
 
-    matrix: np.ndarray
     axes: tuple[Axis, ...]
+    blocks: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
+    mu: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(ax.n for ax in self.axes)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim generator: the lifts of -P_k, then the row
+        factors (the last axis first), then, for a mu that is not separable,
+        less the whole mortality block.  Raises GeneratorOverflow when an
+        entry is beyond the float range."""
+        dim = self.dim
+        # an overflow anywhere shows as a non-finite entry, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = np.zeros((dim, dim))
+            _add_lifts(matrix, [-p for p in self.blocks])
+            rows = matrix.reshape(*(ax.n for ax in self.axes), dim)
+            for factor in reversed(self.rows):
+                rows += factor
+            if self.mu is not None:
+                matrix -= _mortality_block(self.mu, self.axes)
+        if not np.isfinite(matrix).all():
+            raise _overflow(self.axes)
+        return matrix
+
+
+def _overflow(axes: tuple[Axis, ...]) -> GeneratorOverflow:
+    size = " x ".join(str(ax.n) for ax in axes)
+    return GeneratorOverflow(f"the generator of degree {size} overflows the float range")
 
 
 def _samples(coef, name: str, *points) -> np.ndarray:
@@ -164,7 +201,7 @@ SEPARABLE_RTOL = 1e-14
 
 def _mortality(model: Model, axes: tuple[Axis, ...]):
     """The per-axis blocks M_k of the split of mu and None, or, when mu is
-    not separable, zeros and the whole mortality block."""
+    not separable, zeros and the samples of mu on the inner grid."""
     mu = _samples(model.mu, "mu", *np.ix_(*(ax.theta for ax in axes)))
     k = len(axes)
     parts = [
@@ -177,6 +214,13 @@ def _mortality(model: Model, axes: tuple[Axis, ...]):
             f[0] * np.eye(ax.n) if (f == f[0]).all() else lu_solve(ax.lu, f[:, None] * ax.d)
             for f, ax in zip(parts, axes)
         ], None
+    return [0.0] * k, mu
+
+
+def _mortality_block(mu: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
+    """The whole mortality block (D_x (x) D_y)^{-1} diag(mu) (D_x (x) D_y)
+    of the samples mu on the inner grid."""
+    k = len(axes)
     # diag(mu) D as t[i, ..., i', ...]
     t = mu.reshape(mu.shape + (1,) * k)
     for j, ax in enumerate(axes):
@@ -187,17 +231,18 @@ def _mortality(model: Model, axes: tuple[Axis, ...]):
     # last one t is [i', ..., i, ...]
     for ax in axes:
         t = lu_solve(ax.lu, t.reshape(ax.n, -1)).T
-    return [0.0] * k, t.reshape(mu.size, mu.size).T
+    return t.reshape(mu.size, mu.size).T
 
 
 def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
     """The mortality block: cumulative integral, along every axis, of mu
     times the derivative along every axis, D^{-1} diag(mu) D with
     D = D_x (x) D_y.  For a separable mu, the lifts of the blocks M_k."""
-    parts, block = _mortality(model, axes)
-    if block is None:
-        block = np.zeros((math.prod(ax.n for ax in axes),) * 2)
-        _add_lifts(block, parts)
+    parts, mu = _mortality(model, axes)
+    if mu is not None:
+        return _mortality_block(mu, axes)
+    block = np.zeros((math.prod(ax.n for ax in axes),) * 2)
+    _add_lifts(block, parts)
     return block
 
 
@@ -295,22 +340,17 @@ def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> Gener
         1.0 if coef is None else _velocity_samples(coef, ax.grid.nodes, name)[1:, None]
         for ax, coef, name in zip(axes, (model.gx, model.gy), ("gx", "gy"))
     ]
-    dim = math.prod(degrees)
-    # an overflow anywhere shows as a non-finite entry, reported below
+    # an overflow anywhere shows as a non-finite factor, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        parts, rest = _mortality(model, axes)
-        matrix = np.zeros((dim, dim))
-        _add_lifts(matrix, [-(g * ax.d + m) for ax, g, m in zip(axes, velocities, parts)])
-        # alpha, then beta, each broadcast along the axis it replicates on
-        rows = matrix.reshape(*degrees, dim)
-        for axis in reversed(range(len(axes))):
-            rows += _boundary_rows(model, axes, axis, oversample)
-        if rest is not None:
-            matrix -= rest
-    if not np.isfinite(matrix).all():
-        size = " x ".join(map(str, degrees))
-        raise GeneratorOverflow(f"the generator of degree {size} overflows the float range")
-    return GeneratorMatrix(matrix, axes)
+        parts, mu = _mortality(model, axes)
+        blocks = tuple(g * ax.d + m for ax, g, m in zip(axes, velocities, parts))
+        # the last axis (alpha) is sampled first: when both kernels have an
+        # invalid sample, the error names alpha
+        last_first = reversed(range(len(axes)))
+        rows = tuple(reversed([_boundary_rows(model, axes, a, oversample) for a in last_first]))
+    if not all(np.isfinite(f).all() for f in blocks + rows):
+        raise _overflow(axes)
+    return GeneratorMatrix(axes, blocks, rows, mu)
 
 
 def assemble_1d(model: Model, n: int, oversample: int = 2) -> GeneratorMatrix:

@@ -1,12 +1,15 @@
 """Dense linear-algebra kernel used by the discretization.
 
 Thin contracts over LAPACK (via scipy): factorization-based solves with a
-relative pivot guard and the nonsymmetric dense eigensolver (balancing +
-Hessenberg reduction + QR, which is what *geev performs).  Eigenvalues are
-computed alone; :func:`eigenvector` computes the right eigenvector of one
-of them by inverse iteration.  From dimension BALANCE_MIN_DIM on,
-:func:`balance` does geev's balancing first (xGEBAL's strided row norms took
-4.3 s at dimension 2304).  Matrices are plain float64 2-D numpy arrays.
+relative pivot guard and, for the dense eigenvalue path, the nonsymmetric
+dense eigensolver (balancing + Hessenberg reduction + QR, which is what
+*geev performs).  Eigenvalues are computed alone; :func:`eigenvector`
+computes the right eigenvector of one of them by inverse iteration.  From
+dimension BALANCE_MIN_DIM on, :func:`balance` does geev's balancing first
+(xGEBAL's strided row norms took 4.3 s at dimension 2304).  Matrices are
+plain float64 2-D numpy arrays.  The structured path, which forms no dense
+generator, lives in :mod:`popstab.structured` and shares only
+:func:`_canonicalize` with this module.
 """
 
 from __future__ import annotations

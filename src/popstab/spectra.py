@@ -5,6 +5,12 @@ spectrum and spectral abscissa, matching of the eigenvalue nearest a
 reference, reconstruction of the eigenfunction as the mixed derivative of
 the interpolated integrated state, absolute errors on the eigenpair, and
 sweeps over the degree with log-log order fitting.
+
+Two paths compute eigenvalues.  The dense path computes all of them.  For
+k = 1 on a generator that :func:`structured.applies` to, the structured
+path computes only the rightmost ones, certified by a count, and the one
+nearest a reference, without a dense matrix; when it cannot solve or
+certify, the dense path runs instead.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemb
 from .grid import interp_matrix
 from .linalg import NoConvergence, SingularMatrix, eigenvalues, eigenvector, norm_inf
 from .model import Model, NonpositiveVelocity, ReferenceEigenpair
+from .structured import StructuredSolver, Uncertified, applies
 
 
 # The failures of one discretization: a sweep records them and goes on, the
@@ -47,14 +54,23 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class EigenReport:
-    """All eigenvalues of a generator, sorted by descending real part (ties
-    by descending imaginary part).
+    """The computed eigenvalues of a generator, sorted by descending real
+    part (ties by descending imaginary part).
 
+    On the dense path (``solver`` None) these are all eigenvalues.  On the
+    structured path they are those right of the line whose count certified
+    them, and ``solver`` holds the generator's :class:`StructuredSolver`.
     No eigenvector is stored: each call of :meth:`vector` computes one.
     """
 
     eigenvalues: np.ndarray
     generator: GeneratorMatrix
+    solver: StructuredSolver | None = None
+
+    @property
+    def path(self) -> str:
+        """Which path computed the eigenvalues: "dense" or "structured"."""
+        return "dense" if self.solver is None else "structured"
 
     @property
     def abscissa(self) -> float:
@@ -63,13 +79,22 @@ class EigenReport:
 
     @cached_property
     def matrix_norm(self) -> float:
-        """||generator.matrix||inf."""
+        """||generator.matrix||inf (on the structured path, from the factors)."""
+        if self.solver is not None:
+            return self.solver.norm
         return norm_inf(self.generator.matrix)
 
     def vector(self, index: int) -> np.ndarray:
         """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical
-        phase, computed by inverse iteration on every call."""
-        return eigenvector(self.generator.matrix, self.eigenvalues[index], self.matrix_norm)
+        phase, computed on every call: by inverse iteration on the dense
+        path, from the null vector of K(lambda) on the structured one."""
+        lam = self.eigenvalues[index]
+        if self.solver is not None:
+            try:
+                return self.solver.eigenvector(lam)
+            except Uncertified:
+                pass
+        return eigenvector(self.generator.matrix, lam, self.matrix_norm)
 
 
 @dataclass(frozen=True)
@@ -88,16 +113,28 @@ class ConvergenceRecord:
 
 
 def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
-    """All eigenvalues of the generator, sorted rightmost first.
+    """The eigenvalues of the generator, sorted rightmost first.
 
-    Only eigenvalues are computed here; :meth:`EigenReport.vector` computes
-    an eigenvector.  ``k`` is only checked against the dimension.
+    For k = 1 on a generator the structured path applies to, the rightmost
+    eigenvalues certified by a count; otherwise, and whenever that path
+    cannot certify, all eigenvalues, from the dense matrix.  Only
+    eigenvalues are computed here; :meth:`EigenReport.vector` computes an
+    eigenvector.  ``k`` must lie in 1..dim.
     """
     if k < 1 or k > generator.dim:
         raise ValueError(f"k must be in 1..{generator.dim}")
+    if k == 1 and applies(generator):
+        try:
+            solver = StructuredSolver(generator)
+            return EigenReport(solver.rightmost(), generator, solver)
+        except Uncertified:
+            pass
+    return _dense_report(generator)
+
+
+def _dense_report(generator: GeneratorMatrix) -> EigenReport:
     values = eigenvalues(generator.matrix)
-    values = values[np.lexsort((-values.imag, -values.real))]
-    return EigenReport(values, generator)
+    return EigenReport(values[np.lexsort((-values.imag, -values.real))], generator)
 
 
 def _along(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -136,22 +173,31 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     errors of that eigenpair: ``(lam, eps_lambda, eps_phi)``.
 
     The matched eigenvalue is the one nearest the reference, the first in
-    the report's order on a tie.  Its eigenfunction is aligned with the
-    reference by the complex scalar minimizing the weighted L2 distance on
-    the tensor grid of the degree-2n Clenshaw-Curtis rule of each axis,
-    and eps_phi is the weighted L1 norm of the aligned difference (nan
-    when the reference has no eigenfunction, and then no eigenvector is
-    computed).
+    the report's order on a tie.  On the structured path it comes from
+    shift-invert at the reference, with the same tie rule, and its
+    eigenvector from K(lam); the dense path runs instead when that fails.
+    The eigenfunction is aligned with the reference by the complex scalar
+    minimizing the weighted L2 distance on the tensor grid of the
+    degree-2n Clenshaw-Curtis rule of each axis, and eps_phi is the
+    weighted L1 norm of the aligned difference (nan when the reference has
+    no eigenfunction, and then no eigenvector is computed).
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
-    values = report.eigenvalues
-    idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
-    lam = complex(values[idx])
+    if report.solver is not None:
+        try:
+            lam = report.solver.nearest(ref.lam)
+            psi = None if ref.phi is None else report.solver.eigenvector(lam)
+        except Uncertified:
+            return eigen_errors(_dense_report(report.generator), ref)
+    else:
+        values = report.eigenvalues
+        idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
+        lam = complex(values[idx])
+        psi = None if ref.phi is None else report.vector(idx)
     eps_lambda = float(abs(lam - ref.lam))
-    if ref.phi is None:
+    if psi is None:
         return lam, eps_lambda, float("nan")
-    psi = report.vector(idx)
     axes = report.generator.axes
     rules = [ax.cubature(2)[0] for ax in axes]
     nodes = [rule.nodes for rule in rules]

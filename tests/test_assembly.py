@@ -358,22 +358,28 @@ def test_overflowing_generator_is_reported():
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex1_4", "velocity"])
 def test_assembly_peak_memory(name):
-    # the generator keeps one dense nm x nm array, its matrix: mortality is
-    # folded into the per-axis blocks (every builtin mu is separable) and
-    # the boundary rows are added through a broadcast view
+    # the generator keeps its factors, and builds one dense nm x nm array,
+    # its matrix, on first use: mortality is folded into the per-axis blocks
+    # (every builtin mu is separable) and the boundary rows are added
+    # through a broadcast view
     model, _ = builtin(name)
     n = m = 24
-    assemble_2d(model, 4, 4)  # warm up lazy imports and caches
+    assemble_2d(model, 4, 4).matrix  # warm up lazy imports and caches
+    dense = (n * m) ** 2 * 8
     tracemalloc.start()
     try:
         gen = assemble_2d(model, n, m)
+        assembly_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matrix = gen.matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (n * m) ** 2 * 8
-    held = [a for a in _held_arrays(gen) if a.size >= gen.dim**2]
-    assert len(held) == 1 and held[0].shape == (gen.dim, gen.dim)
-    assert held[0].dtype == np.float64
+    assert assembly_peak <= 0.5 * dense
+    assert peak <= 1.5 * dense
+    assert not [a for a in _held_arrays(gen) if a.size >= gen.dim**2]
+    assert matrix.shape == (gen.dim, gen.dim) and matrix.dtype == np.float64
+    assert gen.matrix is matrix
 
 
 def _held_arrays(obj):

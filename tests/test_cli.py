@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import tempfile
 import xml.etree.ElementTree as ET
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from popstab import cli
+from popstab import cli, structured
 from popstab.cli import main
 
 EX11_CONFIG = """
@@ -417,9 +418,9 @@ _COEFFICIENTS = {
 
 
 @st.composite
-def _model_files(draw):
+def _model_files(draw, dims=(1, 2)):
     """Key -> value of a model file; None leaves the key out."""
-    dim = draw(st.sampled_from((1, 2)))
+    dim = draw(st.sampled_from(dims))
     entries = {"dimension": draw(st.sampled_from((None, str(dim))))}
     for axis in "xy"[:dim]:
         entries[f"{axis}_min"], entries[f"{axis}_max"] = draw(st.sampled_from(_INTERVALS))
@@ -459,13 +460,19 @@ _FILE_1D = {"x_min": "0", "x_max": "1", "mu": "1", "beta": "1"}
 @example(entries={**_FILE_1D, "mu": _LONG_SUM}, command="spectrum", n=4, m=None)
 @example(entries={**_FILE_1D, "mu": _DEEP_PARENS}, command="spectrum", n=4, m=None)
 def test_random_model_files_never_end_in_a_traceback(entries, command, n, m):
+    _check_exit_code(entries, command, n, m)
+
+
+def _check_exit_code(entries, command, n, m, extra=()):
+    """The CLI on the model file ends with exit 0, 2 or 3, and with one
+    stderr line exactly when it fails."""
     text = "".join(f'{key} = "{value}"\n' for key, value in entries.items() if value is not None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         if command == "spectrum":
-            argv = ["spectrum", "--model", path, "--n", str(n)]
+            argv = ["spectrum", "--model", path, "--n", str(n), *extra]
             argv += [] if m is None else ["--m", str(m)]
         else:
             argv = ["converge", "--model", path, "--n-min", str(n), "--n-max", str(n + 1)]
@@ -481,3 +488,33 @@ def test_random_model_files_never_end_in_a_traceback(entries, command, n, m):
         # a sweep that exits 0 measured at least one degree
         rows = [line.split(",") for line in out.getvalue().splitlines()[1:] if "," in line]
         assert any(np.isfinite(float(row[4])) for row in rows), out.getvalue()
+
+
+# the smallest n = m on the structured path
+_N_STRUCTURED = math.isqrt(structured.STRUCTURED_MIN_DIM - 1) + 1
+
+
+# a separable 2-D file that the structured path solves
+_FILE_2D = {
+    "x_min": "0", "x_max": "2", "y_min": "0", "y_max": "1", "mu": "2*x + 1",
+    "alpha": "exp(-xi + sigma)", "beta": "exp(-y) * sigma", "gx": "x + 2", "gy": "1",
+}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    entries=_model_files(dims=(2,)),
+    command=st.sampled_from(("spectrum", "converge")),
+    n=st.integers(_N_STRUCTURED, _N_STRUCTURED + 2),
+)
+@example(entries=_FILE_2D, command="spectrum", n=_N_STRUCTURED)
+@example(
+    entries={**_FILE_2D, "ref_lambda": "-1", "ref_phi": "exp(x)"}, command="converge",
+    n=_N_STRUCTURED,
+)
+@example(entries={**_FILE_2D, "y_max": "1e-300"}, command="spectrum", n=_N_STRUCTURED)
+@example(entries={**_FILE_2D, "alpha": "1e300"}, command="spectrum", n=_N_STRUCTURED)
+def test_random_2d_model_files_above_the_threshold_never_end_in_a_traceback(entries, command, n):
+    # spectrum with --k 1 and converge take the structured path at these
+    # degrees whenever mu is separable
+    _check_exit_code(entries, command, n, None, extra=("--k", "1"))

@@ -42,9 +42,10 @@ from popstab.spectra import (
 
 
 def _wrap_matrix(matrix):
-    """GeneratorMatrix around an explicit matrix (1-D axis of matching size)."""
+    """GeneratorMatrix whose matrix is the given one: a 1-D axis of matching
+    size, the block -matrix and no boundary rows."""
     n = matrix.shape[0]
-    return GeneratorMatrix(np.asarray(matrix, float), (collocation_axis(0.0, 1.0, n),))
+    return GeneratorMatrix((collocation_axis(0.0, 1.0, n),), (-np.asarray(matrix, float),), ())
 
 
 def _analyze(model, n):
@@ -342,7 +343,9 @@ def test_error_rule_uses_doubled_degree():
 
 
 def test_eigen_errors_leaves_the_frozen_report_unchanged():
-    assert [f.name for f in dataclasses.fields(EigenReport)] == ["eigenvalues", "generator"]
+    assert [f.name for f in dataclasses.fields(EigenReport)] == [
+        "eigenvalues", "generator", "solver"
+    ]
     model, ref = builtin("ex1_2")
     report = compute_spectrum(assemble(model, 6), k=1)
     before = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
