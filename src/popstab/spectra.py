@@ -8,8 +8,9 @@ sweeps over the degree with log-log order fitting.
 
 Two paths compute eigenvalues.  The dense path computes all of them.  For
 k = 1 on a generator that :func:`structured.applies` to, the structured
-path computes only the rightmost ones, certified by a count, and the one
-nearest a reference, without a dense matrix; when it cannot solve or
+path computes only the rightmost ones, certified by a count, and takes the
+one nearest a reference from those when the count decides it, by
+shift-invert otherwise, without a dense matrix; when it cannot solve or
 certify, the dense path runs instead.
 """
 
@@ -173,9 +174,13 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     errors of that eigenpair: ``(lam, eps_lambda, eps_phi)``.
 
     The matched eigenvalue is the one nearest the reference, the first in
-    the report's order on a tie.  On the structured path it comes from
-    shift-invert at the reference, with the same tie rule, and its
-    eigenvector from K(lam); the dense path runs instead when that fails.
+    the report's order on a tie.  On the structured path the count that
+    certified the report proves every other eigenvalue to lie left of its
+    line, so the nearest certified eigenvalue is the match when it is
+    closer to the reference than Re ref.lam - line; otherwise the match
+    comes from shift-invert at the reference, with the same tie rule.  Its
+    eigenvector comes from K(lam); the dense path runs instead when either
+    fails.
     The eigenfunction is aligned with the reference by the complex scalar
     minimizing the weighted L2 distance on the tensor grid of the
     degree-2n Clenshaw-Curtis rule of each axis, and eps_phi is the
@@ -184,17 +189,21 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
-    if report.solver is not None:
+    values = report.eigenvalues
+    idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
+    lam = complex(values[idx])
+    solver = report.solver
+    if solver is None:
+        psi = None if ref.phi is None else report.vector(idx)
+    else:
         try:
-            lam = report.solver.nearest(ref.lam)
-            psi = None if ref.phi is None else report.solver.eigenvector(lam)
+            # every eigenvalue outside the report lies at Re z <= solver.line,
+            # at least Re ref.lam - line from the reference
+            if not abs(lam - ref.lam) < ref.lam.real - solver.line:
+                lam = solver.nearest(ref.lam)
+            psi = None if ref.phi is None else solver.eigenvector(lam)
         except Uncertified:
             return eigen_errors(_dense_report(report.generator), ref)
-    else:
-        values = report.eigenvalues
-        idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
-        lam = complex(values[idx])
-        psi = None if ref.phi is None else report.vector(idx)
     eps_lambda = float(abs(lam - ref.lam))
     if psi is None:
         return lam, eps_lambda, float("nan")

@@ -23,8 +23,13 @@ uses the complex Schur forms.
   sigma = 0 and certifies its rightmost Ritz values by the argument
   principle: det(G - zI) = det(L - zI) det K(z), so the number of
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
-  the winding number of det K along the line.
-- :meth:`StructuredSolver.nearest` is shift-invert at a given real shift.
+  the winding number of det K along the line.  det K is sampled on the
+  upper half of the line only (G is real, so the lower half is its mirror
+  image), and only up to |z| = ``tail``, beyond which K provably stays
+  within 1/2 of I: the far part of the line and the closing arc are proven,
+  the near part is sampled and refined heuristically.
+- :meth:`StructuredSolver.nearest` is shift-invert at a given real shift,
+  for a reference that the certified eigenvalues do not decide.
 - :meth:`StructuredSolver.eigenvector` returns (L - lam I)^{-1} U k, with k
   the null vector of K(lam).
 
@@ -49,10 +54,11 @@ from .linalg import _canonicalize
 
 # From this dimension on, a 2-D generator with separable mu takes the
 # structured path for the abscissa and the eigenpair nearest a reference.
-# The measured crossover: at dim 400 (n = m = 20) dense was faster on two
-# of three builtins, at 484 the two paths tied in total, at 576 the
-# structured path was faster on all three (BENCH_structured_abscissa.json).
-STRUCTURED_MIN_DIM = 500
+# The measured crossover on ex2_1, ex1_4 and velocity: at dim 196
+# (n = m = 14) dense was faster on velocity in each of three measurements,
+# from dim 225 on the structured path was faster on all three
+# (BENCH_half_line_count.json).
+STRUCTURED_MIN_DIM = 225
 
 # Singular values of the stacked boundary factor below this fraction of the
 # largest are dropped.
@@ -64,10 +70,12 @@ RITZ_VALUES = 4
 ARPACK_TOL = 1e-12
 ARPACK_RESTARTS = 300
 
-# The count: det K sampled at sinh-spaced points c + i omega, |omega| <= W,
+# The count: det K sampled at sinh-spaced points c + i omega,
+# 0 <= omega <= W, up to the first one where K is provably within 1/2 of I,
 # each phase step refined to at most PHASE_STEP rad, at most MAX_EVALUATIONS
-# evaluations of det K; K must be within 1/2 of I at +-W.
-COUNT_SAMPLES = 401
+# evaluations of det K on the whole line (each one off the real axis counts
+# twice, for its mirror image).
+COUNT_SAMPLES = 201
 COUNT_HALF_WIDTH = 1e6
 PHASE_STEP = 0.5
 MAX_EVALUATIONS = 4000
@@ -179,6 +187,12 @@ class StructuredSolver:
         u = np.array([np.add.outer(c[:n, k], c[n:, k]) for k in range(len(wt))])
         self.u = self._to_schur(u)
         self.w = self._to_schur(wt.reshape(-1, n, m))
+        # ||L|| <= ||P_x|| + ||P_y||, so ||(L - zI)^{-1}|| <= 1 / (|z| - ||L||)
+        # and ||K(z) - I|| <= 1/2 wherever |z| >= tail
+        self.tail = float(
+            np.linalg.norm(px, 2) + np.linalg.norm(py, 2)
+            + 2 * np.linalg.norm(self.u) * np.linalg.norm(self.w)
+        )
         # the line Re z = c of the count that certified rightmost()
         self.line = None
 
@@ -264,38 +278,51 @@ class StructuredSolver:
         return complex(np.linalg.det(self._shift(z).k))
 
     def _winding(self, c: float) -> int:
-        """The winding number of det K(c + i omega) as omega runs from +W to
-        -W, closed through the half-plane right of the line, where K stays
-        near I."""
-        top = math.asinh(COUNT_HALF_WIDTH)
-        omegas = list(np.sinh(np.linspace(top, -top, COUNT_SAMPLES)))
-        for end in (omegas[0], omegas[-1]):
-            k = self._shift(complex(c, end)).k
-            if not np.linalg.norm(k - np.eye(len(k)), 2) < 0.5:
-                raise Uncertified(f"||K - I|| >= 1/2 at omega = {end:g}")
-        values = [self._det_k(complex(c, w)) for w in omegas]
+        """The winding number of det K(c + i omega) as omega runs down the
+        line, closed through the half-plane right of it.
+
+        G is real, so det K(c - i omega) = conj det K(c + i omega): det K is
+        sampled on omega >= 0 only, and the phase walked from the top sample
+        down to omega = 0 counts twice.  The sinh grid keeps its points
+        below ``tail`` and the first one at or above it.  For |z| >= tail,
+        ||K(z) - I|| <= 1/2, so every eigenvalue of K stays within 1/2 of 1
+        and K winds neither on the rest of the line nor on the arc that
+        closes the contour from c - i top back to c + i top; that arc adds
+        twice the sum of the principal arguments of the eigenvalues of
+        K(c + i top), each below pi/6.  When ``tail`` exceeds
+        COUNT_HALF_WIDTH, the grid runs to that width and ||K - I|| < 1/2
+        is checked there instead.  Only the near part of the line, below
+        the top sample, is sampled heuristically: each phase step is
+        refined to at most PHASE_STEP rad.
+        """
+        omegas = np.sinh(np.linspace(math.asinh(COUNT_HALF_WIDTH), 0.0, COUNT_SAMPLES))
+        omegas = list(omegas[max(np.count_nonzero(omegas >= self.tail) - 1, 0):])
+        k = self._shift(complex(c, omegas[0])).k
+        if not np.linalg.norm(k - np.eye(len(k)), 2) < 0.5:
+            raise Uncertified(f"||K - I|| >= 1/2 at omega = {omegas[0]:g}")
+        closing = float(np.angle(np.linalg.eigvals(k)).sum())
+        values = [complex(np.linalg.det(k))] + [self._det_k(complex(c, w)) for w in omegas[1:]]
         if not all(d != 0 and cmath.isfinite(d) for d in values):
             raise Uncertified(f"det K is 0 or not finite on Re z = {c}")
-        evaluations = len(values)
+        # each sample off the real axis stands for its mirror image too
+        evaluations = 2 * len(values) - 1
         # the phase steps between the samples, each at most PHASE_STEP;
         # the stack holds the intervals still to walk, the next one last
-        total = 0.0
+        half = 0.0
         stack = list(zip(omegas[-2::-1], values[-2::-1], omegas[:0:-1], values[:0:-1]))
         while stack:
             w0, d0, w1, d1 = stack.pop()
             step = cmath.phase(d1 / d0)
             if abs(step) <= PHASE_STEP:
-                total += step
+                half += step
                 continue
             wm = 0.5 * (w0 + w1)
             dm = self._det_k(complex(c, wm))
-            evaluations += 1
+            evaluations += 2
             if evaluations > MAX_EVALUATIONS or not (dm != 0 and cmath.isfinite(dm)):
                 raise Uncertified(f"the phase of det K on Re z = {c} is not resolved")
             stack += [(wm, dm, w1, d1), (w0, d0, wm, dm)]
-        # closed through the half-plane, from det K(-W) back to det K(+W)
-        total += cmath.phase(values[0] / values[-1])
-        return round(total / (2 * math.pi))
+        return round((half + closing) / math.pi)
 
     @_quiet
     def nearest(self, sigma: float) -> complex:

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from popstab import structured
 from popstab.assembly import GeneratorMatrix, GeneratorOverflow, assemble, collocation_grids
@@ -66,6 +67,110 @@ def test_structured_path_agrees_with_dense(name, n):
     assert abs(report.matrix_norm - dense.matrix_norm) <= 1e-14 * dense.matrix_norm
 
 
+# a kernel that is not a product: the boundary term has rank 22 at n = 24
+NONPRODUCT = (
+    "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\n"
+    'mu = "1 + x + y"\nalpha = "2*exp(-3*x*xi*sigma)"\nbeta = "cos(2*y*xi + sigma)"\n'
+)
+
+
+def test_closing_rule_at_rank_above_one():
+    gen = assemble(load_model(NONPRODUCT), 24)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    solver = report.solver
+    assert len(solver.u) > 1
+    values = _dense_report(gen).eigenvalues
+    assert _close(report.abscissa, values[0].real)
+    for got, want in zip(report.eigenvalues, values, strict=False):
+        assert _close(got, want)
+    # Re z = 0 and the lines between the 1st/2nd, 2nd/3rd and 4th/5th
+    # distinct real parts
+    real_parts = np.unique(values.real.round(9))[::-1]
+    lines = [0.0] + [0.5 * (real_parts[i] + real_parts[i + 1]) for i in (0, 1, 3)]
+    counts = [solver.count_right(c) for c in lines]
+    assert counts == [np.count_nonzero(values.real > c) for c in lines]
+    assert counts == [0, 1, 3, 7]
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of each call of a StructuredSolver method."""
+    calls = []
+    method = getattr(structured.StructuredSolver, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(structured.StructuredSolver, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("text", [None, NONPRODUCT], ids=["ex2_1", "nonproduct"])
+def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
+    model = builtin("ex2_1")[0] if text is None else load_model(text)
+    solver = structured.StructuredSolver(assemble(model, N_MIN))
+    # every det K evaluation builds the shift z
+    shifts = _spy(monkeypatch, "_shift")
+    for c in (0.0, -1.5, -6.0):
+        shifts.clear()
+        solver.count_right(c)
+        omegas = [z.imag for (z,) in shifts]
+        assert all(z.real == c for (z,) in shifts)
+        assert min(omegas) == 0.0
+        # the grid, walked down to omega = 0, then midpoints of earlier samples
+        grid = omegas.index(0.0) + 1
+        assert grid <= structured.COUNT_SAMPLES == 201
+        assert omegas[:grid] == sorted(omegas[:grid], reverse=True)
+        seen = omegas[:grid]
+        midpoints = {0.5 * (a + b) for i, a in enumerate(seen) for b in seen[:i]}
+        for w in omegas[grid:]:
+            assert w in midpoints
+            midpoints.update(0.5 * (w + b) for b in seen)
+            seen.append(w)
+
+
+def test_sweep_runs_arpack_once_per_degree(monkeypatch):
+    model, _ = builtin("ex2_1")
+    ritz = _spy(monkeypatch, "_ritz")
+    shifts = _spy(monkeypatch, "_shift")
+    degrees = [24, 32, 40, 48]
+    records = convergence_sweep(model, degrees)
+    assert all(record.error is None for record in records)
+    assert ritz == [(0.0,)] * len(degrees)
+    assert all(z.imag >= 0 for (z,) in shifts)
+    # the certified eigenvalue is the match: lambda_re is the abscissa
+    assert all(record.lam.real == record.abscissa for record in records)
+
+
+@pytest.mark.parametrize("ref_lambda", [-7.0, -20.0])
+def test_reference_left_of_the_line_takes_shift_invert(monkeypatch, ref_lambda):
+    # ex2_1's coefficients; its certifying line lies near -3
+    model = load_model(
+        "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 2\nmu = \"1\"\n"
+        'alpha = "x^2 * abs(x) * (5/8)"\nbeta = "y^2 * abs(y) * (5/8)"\n'
+        f"ref_lambda = {ref_lambda}\n"
+    )
+    gen = assemble(model, N_MIN)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured" and ref_lambda < report.solver.line
+    nearest = _spy(monkeypatch, "nearest")
+    lam, _, eps_phi = eigen_errors(report, model.reference)
+    assert nearest == [(ref_lambda,)]
+    assert math.isnan(eps_phi)
+    values = _dense_report(gen).eigenvalues
+    want = values[np.lexsort((-values.imag, -values.real, np.abs(values - ref_lambda)))[0]]
+    tol = 1e-12 * max(1.0, abs(want))
+    if ref_lambda == -20.0:
+        # this eigenvalue's condition number is about 1e7: two eigensolvers
+        # agree only to about eps kappa ||G|| (1e-8 to 1e-6 at n = 15..24)
+        w, left, right = scipy.linalg.eig(gen.matrix, left=True)
+        i = np.argmin(np.abs(w - want))
+        kappa = 1 / abs(np.vdot(left[:, i], right[:, i]))
+        tol = np.finfo(float).eps * kappa * norm_inf(gen.matrix)
+    assert abs(lam - want) <= tol
+
+
 def _forbid_dense(monkeypatch):
     def refuse(self):
         raise AssertionError("the dense matrix was built")
@@ -75,12 +180,14 @@ def _forbid_dense(monkeypatch):
 
 # every 2-D builtin at each degree of the acceptance sweeps on the structured path
 DOCUMENTED_DEGREES = {
+    "ex1_2": [16, 20],
+    "ex1_3": [16, 20],
     "ex1_4": [40],
-    "ex2_1": [24, 32, 40, 48],
-    "ex2_2": [24, 32, 40, 48],
-    "ex2_3": [24, 32, 40, 48],
-    "ex2_4": [24, 32, 40, 48],
-    "velocity": [25, 30],
+    "ex2_1": [16, 24, 32, 40, 48],
+    "ex2_2": [16, 24, 32, 40, 48],
+    "ex2_3": [16, 24, 32, 40, 48],
+    "ex2_4": [16, 24, 32, 40, 48],
+    "velocity": [15, 20, 25, 30],
 }
 
 
