@@ -14,29 +14,38 @@ P_x = Q_x T_x Q_x^T and P_y^T = Q_y T_y Q_y^T (real Schur forms), so that
 (T_x + zI) Y + Y T_y = -Q_x^T R Q_y, solved by LAPACK ``trsyl``
 (Bartels & Stewart, CACM 15(9), 1972), and (G - zI)^{-1} follows by the
 Woodbury formula with the r x r capacitance K(z) = I + W^T (L - zI)^{-1} U,
-factored once per shift.  A real shift stays in real arithmetic, so ARPACK's
-real nonsymmetric routines (dnaupd, dneupd) return real eigenvalues with an
-imaginary part of exactly 0.0 and exact conjugate pairs.  A complex shift
-uses the complex Schur forms.
+factored once per shift.  A real shift stays in real arithmetic, so the
+Ritz values, the eigenvalues of a real Hessenberg matrix, are real with an
+imaginary part of exactly 0.0 or come in exact conjugate pairs.  A complex
+shift uses the complex Schur forms.
 
-- :meth:`StructuredSolver.rightmost` runs ARPACK on (G - sigma I)^{-1} at
-  sigma = 0 and certifies its rightmost Ritz values by the argument
-  principle: det(G - zI) = det(L - zI) det K(z), so the number of
+The eigenvalues near a shift come from an unrestarted Arnoldi run on
+(G - sigma I)^{-1} (Saad, *Numerical Methods for Large Eigenvalue
+Problems*, 2nd ed., 2011, ch. 6): one Sylvester solve and one Woodbury
+update per step, classical Gram-Schmidt applied twice, a fixed-seed start.
+It stops as soon as the Ritz values its caller wants have converged, by
+ARPACK's residual test and by staying unchanged to a few ulps from one step
+to the next, and raises :class:`Uncertified` at a cap on the steps.
+
+- :meth:`StructuredSolver.rightmost` runs it at sigma = 0 until the
+  rightmost group of Ritz values converges, and certifies that group by
+  the argument principle: det(G - zI) = det(L - zI) det K(z), so the number of
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
   the winding number of det K along the line.  det K is sampled on the
   upper half of the line only (G is real, so the lower half is its mirror
   image), and only up to |z| = ``tail``, beyond which K provably stays
   within 1/2 of I: the far part of the line and the closing arc are proven,
   the near part is sampled and refined heuristically.
-- :meth:`StructuredSolver.nearest` is shift-invert at a given real shift,
-  for a reference that the certified eigenvalues do not decide.
+- :meth:`StructuredSolver.nearest` runs it at a given real shift until the
+  Ritz value nearest the shift converges, for a reference that the
+  certified eigenvalues do not decide.
 - :meth:`StructuredSolver.eigenvector` returns (L - lam I)^{-1} U k, with k
   the null vector of K(lam).
 
-Every failure (ARPACK without convergence, ``trsyl`` near a singular
-Sylvester operator, a singular K, a count that does not certify) raises
-:class:`Uncertified`; the caller then takes the dense path.  No nm x nm
-array is formed, and ARPACK is imported on first use only.
+Every failure (no convergence within the step cap, ``trsyl`` near a
+singular Sylvester operator, a singular K, a count that does not certify)
+raises :class:`Uncertified`; the caller then takes the dense path.  No
+nm x nm array is formed.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ import scipy.linalg
 from .assembly import GeneratorMatrix, _overflow
 from .linalg import _canonicalize
 
+EPS = np.finfo(float).eps
+
 # From this dimension on, a 2-D generator with separable mu takes the
 # structured path for the abscissa and the eigenpair nearest a reference.
 # The measured crossover on ex2_1, ex1_4 and velocity: at dim 196
@@ -62,13 +73,21 @@ STRUCTURED_MIN_DIM = 225
 
 # Singular values of the stacked boundary factor below this fraction of the
 # largest are dropped.
-RANK_RTOL = 64 * np.finfo(float).eps
+RANK_RTOL = 64 * EPS
 SKETCH_SAMPLES = 10
 
-# ARPACK: Ritz values per run, their tolerance, and a cap on restarts.
-RITZ_VALUES = 4
-ARPACK_TOL = 1e-12
-ARPACK_RESTARTS = 300
+# The Arnoldi run on (G - sigma I)^{-1}: at most ARNOLDI_STEPS operator
+# applications.  A wanted Ritz value nu has converged when ARPACK's test
+# |h_{p+1,p} s_p| <= RITZ_TOL |nu| holds for its Ritz vector s and its
+# eigenvalue sigma + 1/nu has moved by at most SETTLE_ULPS units in the last
+# place since the previous step: on an ill-conditioned eigenvalue the
+# residual test alone stops while the value is still far off.
+ARNOLDI_STEPS = 100
+RITZ_TOL = 1e-12
+SETTLE_ULPS = 4
+
+# ||G||inf sums the rows of largest bound exactly, this many at a time.
+NORM_CHUNK = 64
 
 # The count: det K sampled at sinh-spaced points c + i omega,
 # 0 <= omega <= W, up to the first one where K is provably within 1/2 of I,
@@ -117,15 +136,40 @@ def _compress(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         samples *= 2
 
 
+def _group_size(lam: np.ndarray) -> int:
+    """The number of values in the rightmost group of lam, sorted rightmost
+    first: those within GROUP_RTOL of the first one's real part."""
+    top = lam[0].real
+    return int(np.count_nonzero(lam.real >= top - GROUP_RTOL * max(1.0, abs(top))))
+
+
+def _group(lam: np.ndarray) -> slice:
+    """The rightmost group of lam, sorted rightmost first."""
+    return slice(0, _group_size(lam))
+
+
+def _shifted(t: np.ndarray, z) -> np.ndarray:
+    """A copy of t + zI."""
+    a = t.astype(np.result_type(t, z))
+    a[np.diag_indices(len(t))] += z
+    return a
+
+
+def _trsyl(a: np.ndarray, ty: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Y and the scale s of a Y + Y T_y = -s r, by LAPACK trsyl."""
+    y, scale, info = scipy.linalg.get_lapack_funcs("trsyl", (a, ty))(a, ty, -r)
+    if info != 0:
+        raise Uncertified(f"trsyl returned info {info}")
+    return y, scale
+
+
 class _Shift:
     """(G - zI)^{-1} at one shift z, in Schur coordinates: the Sylvester
     solve with T_x + zI, (L - zI)^{-1} U and the capacitance K(z)."""
 
     def __init__(self, tx: np.ndarray, ty: np.ndarray, u: np.ndarray, w: np.ndarray, z):
-        self.a = tx.astype(np.result_type(tx, z))
-        self.a[np.diag_indices(len(tx))] += z
+        self.a = _shifted(tx, z)
         self.ty = ty
-        self.trsyl = scipy.linalg.get_lapack_funcs("trsyl", (self.a, ty))
         self.zu = np.array([self.solve(uk) for uk in u])
         self.k = np.eye(len(u)) + np.tensordot(w, self.zu, axes=([1, 2], [1, 2]))
         if not np.isfinite(self.k).all():
@@ -133,9 +177,7 @@ class _Shift:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """(L - zI)^{-1} of the Schur-coordinate array r."""
-        y, scale, info = self.trsyl(self.a, self.ty, -r)
-        if info != 0:
-            raise Uncertified(f"trsyl returned info {info}")
+        y, scale = _trsyl(self.a, self.ty, r)
         return y / scale
 
     def factor(self) -> tuple:
@@ -199,10 +241,15 @@ class StructuredSolver:
     def _to_schur(self, arrays: np.ndarray) -> np.ndarray:
         return np.array([self.qx.T @ a @ self.qy for a in arrays])
 
-    def _shift(self, z) -> _Shift:
+    def _coordinates(self, z: complex) -> tuple:
+        """T_x, T_y, U and W in the Schur coordinates for the shift z, and
+        z: the real ones, and z as a float, on the real axis."""
         if z.imag == 0:
-            return _Shift(self.tx, self.ty, self.u, self.w, z.real)
-        return _Shift(*self._complex_schur[:4], z)
+            return self.tx, self.ty, self.u, self.w, z.real
+        return (*self._complex_schur[:4], z)
+
+    def _shift(self, z) -> _Shift:
+        return _Shift(*self._coordinates(z))
 
     @functools.cached_property
     @_quiet
@@ -216,50 +263,69 @@ class StructuredSolver:
         return tx, ty, u, w, sx, sy
 
     @_quiet
-    def _ritz(self, sigma: float) -> np.ndarray:
-        """RITZ_VALUES eigenvalues of G nearest the real shift sigma, by
-        ARPACK on (G - sigma I)^{-1}; real ones have imaginary part 0.0."""
-        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
-
+    def _ritz(self, sigma: float, wanted=_group) -> np.ndarray:
+        """The Ritz values of an Arnoldi run on (G - sigma I)^{-1}, as
+        eigenvalues of G sorted rightmost first; real ones have imaginary
+        part 0.0.  The run stops once the values that ``wanted`` picks from
+        them, in that order, have converged."""
         shift = self._shift(complex(sigma))
         lu = shift.factor()
-        shape = self.shape
-
-        def apply(b):
-            y = shift.solve(b.reshape(shape))
+        dim = math.prod(self.shape)
+        steps = min(ARNOLDI_STEPS, dim - 1)
+        basis = np.empty((steps + 1, dim))
+        h = np.zeros((steps + 1, steps))
+        v = np.random.default_rng(0).standard_normal(dim)
+        basis[0] = v / np.linalg.norm(v)
+        previous = None
+        for p in range(steps):
+            y = shift.solve(basis[p].reshape(self.shape))
             coef = scipy.linalg.lu_solve(lu, np.tensordot(self.w, y, 2), check_finite=False)
-            return (y - np.tensordot(coef, shift.zu, 1)).ravel()
-
-        dim = math.prod(shape)
-        op = LinearOperator((dim, dim), matvec=apply, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        try:
-            nu = eigs(
-                op, RITZ_VALUES, which="LM", v0=v0, tol=ARPACK_TOL,
-                maxiter=ARPACK_RESTARTS, return_eigenvectors=False,
-            )
-        except (ArpackNoConvergence, ArpackError) as exc:
-            raise Uncertified(str(exc)) from exc
-        if not (np.isfinite(nu).all() and np.all(nu != 0)):
-            raise Uncertified("ARPACK returned a Ritz value of 0 or not finite")
-        lam = sigma + 1.0 / nu
-        # 1 / (a + 0j) may carry an imaginary part of -0.0
-        lam = np.where(nu.imag == 0, lam.real + 0j, lam)
-        return lam[np.lexsort((-lam.imag, -lam.real))]
+            v = (y - np.tensordot(coef, shift.zu, 1)).ravel()
+            # classical Gram-Schmidt, applied twice
+            for _ in range(2):
+                proj = basis[: p + 1] @ v
+                v -= proj @ basis[: p + 1]
+                h[: p + 1, p] += proj
+            h[p + 1, p] = np.linalg.norm(v)
+            if not np.isfinite(h[: p + 2, p]).all():
+                raise Uncertified("the Arnoldi run is not finite")
+            basis[p + 1] = v / h[p + 1, p]
+            try:
+                nu, s = np.linalg.eig(h[: p + 1, : p + 1])
+            except np.linalg.LinAlgError as exc:
+                raise Uncertified(str(exc)) from exc
+            if not nu.all():
+                raise Uncertified("a Ritz value is 0")
+            lam = sigma + 1.0 / nu
+            # 1 / (a + 0j) may carry an imaginary part of -0.0
+            lam = np.where(nu.imag == 0, lam.real + 0j, lam)
+            order = np.lexsort((-lam.imag, -lam.real))
+            pick = order[wanted(lam[order])]
+            # ARPACK's test: the residual of the Ritz pair against |nu|
+            residual = h[p + 1, p] * np.abs(s[-1, pick])
+            values = lam[pick]
+            if (
+                (residual <= RITZ_TOL * np.abs(nu[pick])).all()
+                and previous is not None
+                and len(previous) == len(values)
+                and (np.abs(values - previous) <= SETTLE_ULPS * EPS * np.abs(values)).all()
+            ):
+                return lam[order]
+            previous = values
+        raise Uncertified(f"no convergence in {steps} Arnoldi steps")
 
     @_quiet
     def rightmost(self) -> np.ndarray:
         """The eigenvalues of G right of a line Re z = c, rightmost first:
         the rightmost group of Ritz values at sigma = 0, certified by a count
-        right of c, in the gap to the next Ritz value, that equals its
-        size.  Sets ``line`` to c."""
+        right of c, halfway to the next Ritz value (converged or not), that
+        equals its size.  Sets ``line`` to c."""
         lam = self._ritz(0.0)
-        top = lam[0].real
-        in_group = lam.real >= top - GROUP_RTOL * max(1.0, abs(top))
-        if in_group.all():
+        size = _group_size(lam)
+        if size == len(lam):
             raise Uncertified("no gap after the rightmost Ritz values")
-        group = lam[in_group]
-        c = 0.5 * (group[-1].real + lam[~in_group][0].real)
+        group = lam[:size]
+        c = 0.5 * (group[-1].real + lam[size].real)
         count = self.count_right(c)
         if count != len(group):
             raise Uncertified(f"{count} eigenvalues right of {c}, but {len(group)} Ritz values")
@@ -275,7 +341,12 @@ class StructuredSolver:
         return int(n_l) + self._winding(c)
 
     def _det_k(self, z: complex) -> complex:
-        return complex(np.linalg.det(self._shift(z).k))
+        """det K(z); at r = 1, K(z) itself, from one trsyl solve."""
+        if len(self.u) > 1:
+            return complex(np.linalg.det(self._shift(z).k))
+        tx, ty, u, w, z = self._coordinates(z)
+        y, scale = _trsyl(_shifted(tx, z), ty, u[0])
+        return complex(1.0 + np.dot(w[0].ravel(), y.ravel()) / scale)
 
     def _winding(self, c: float) -> int:
         """The winding number of det K(c + i omega) as omega runs down the
@@ -297,11 +368,14 @@ class StructuredSolver:
         """
         omegas = np.sinh(np.linspace(math.asinh(COUNT_HALF_WIDTH), 0.0, COUNT_SAMPLES))
         omegas = list(omegas[max(np.count_nonzero(omegas >= self.tail) - 1, 0):])
-        k = self._shift(complex(c, omegas[0])).k
-        if not np.linalg.norm(k - np.eye(len(k)), 2) < 0.5:
+        top = complex(c, omegas[0])
+        values = [self._det_k(top)]
+        # K at the top sample, for the check and the closing arc
+        k = np.array([[values[0]]]) if len(self.u) == 1 else self._shift(top).k
+        if not (np.isfinite(k).all() and np.linalg.norm(k - np.eye(len(k)), 2) < 0.5):
             raise Uncertified(f"||K - I|| >= 1/2 at omega = {omegas[0]:g}")
         closing = float(np.angle(np.linalg.eigvals(k)).sum())
-        values = [complex(np.linalg.det(k))] + [self._det_k(complex(c, w)) for w in omegas[1:]]
+        values += [self._det_k(complex(c, w)) for w in omegas[1:]]
         if not all(d != 0 and cmath.isfinite(d) for d in values):
             raise Uncertified(f"det K is 0 or not finite on Re z = {c}")
         # each sample off the real axis stands for its mirror image too
@@ -328,8 +402,13 @@ class StructuredSolver:
     def nearest(self, sigma: float) -> complex:
         """The eigenvalue of G nearest the real shift sigma; on a tie, the
         one with the larger real, then imaginary, part."""
-        lam = self._ritz(sigma)
-        return complex(lam[np.lexsort((-lam.imag, -lam.real, np.abs(lam - sigma)))[0]])
+
+        def pick(lam):
+            i = np.lexsort((-lam.imag, -lam.real, np.abs(lam - sigma)))[0]
+            return slice(i, i + 1)
+
+        lam = self._ritz(sigma, pick)
+        return complex(lam[pick(lam)][0])
 
     @_quiet
     def eigenvector(self, lam: complex) -> np.ndarray:
@@ -350,15 +429,34 @@ class StructuredSolver:
 
 def _norm_inf(px, py, alpha, beta) -> float:
     """||G||inf from the blocks and the row factors (alpha as (n, n, m) and
-    beta as (m, n, m)), one block of m rows at a time."""
+    beta as (m, n, m)).
+
+    Row (i, j) of G is alpha_i + beta_j - e_i (x) P_y[j] - P_x[i] (x) e_j,
+    so its absolute sum is at most ||alpha_i||_1 + ||beta_j||_1 +
+    ||P_x[i]||_1 + ||P_y[j]||_1.  Rows are summed exactly in descending
+    order of that bound, NORM_CHUNK at a time, until the next bound, widened
+    by the rounding of the sums, falls below the largest sum: the result is
+    exact up to rounding.  A bound that is not finite gives inf.
+    """
     n, m = len(px), len(py)
-    rows = np.empty_like(beta)
-    diagonal = np.arange(m)
+    bound = np.add.outer(
+        np.abs(alpha).sum(axis=(1, 2)) + np.abs(px).sum(axis=1),
+        np.abs(beta).sum(axis=(1, 2)) + np.abs(py).sum(axis=1),
+    ).ravel()
+    if not np.isfinite(bound).all():
+        return math.inf
+    order = np.argsort(-bound, kind="stable")
+    slack = 1 + 8 * n * m * EPS
     best = 0.0
-    for i in range(n):
-        np.add(alpha[i], beta, out=rows)
-        rows[:, i, :] -= py
-        rows[diagonal, :, diagonal] -= px[i]
+    for start in range(0, n * m, NORM_CHUNK):
+        if bound[order[start]] * slack < best:
+            break
+        i, j = np.divmod(order[start : start + NORM_CHUNK], m)
+        k = np.arange(len(i))
+        rows = alpha[i]
+        rows += beta[j]
+        rows[k, i, :] -= py[j]
+        rows[k, :, j] -= px[i]
         np.abs(rows, out=rows)
-        best = max(best, float(rows.reshape(m, -1).sum(axis=1).max()))
+        best = max(best, float(rows.sum(axis=(1, 2)).max()))
     return best

@@ -110,8 +110,8 @@ def _spy(monkeypatch, name):
 def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
     model = builtin("ex2_1")[0] if text is None else load_model(text)
     solver = structured.StructuredSolver(assemble(model, N_MIN))
-    # every det K evaluation builds the shift z
-    shifts = _spy(monkeypatch, "_shift")
+    # every det K evaluation
+    shifts = _spy(monkeypatch, "_det_k")
     for c in (0.0, -1.5, -6.0):
         shifts.clear()
         solver.count_right(c)
@@ -134,11 +134,12 @@ def test_sweep_runs_arpack_once_per_degree(monkeypatch):
     model, _ = builtin("ex2_1")
     ritz = _spy(monkeypatch, "_ritz")
     shifts = _spy(monkeypatch, "_shift")
+    dets = _spy(monkeypatch, "_det_k")
     degrees = [24, 32, 40, 48]
     records = convergence_sweep(model, degrees)
     assert all(record.error is None for record in records)
     assert ritz == [(0.0,)] * len(degrees)
-    assert all(z.imag >= 0 for (z,) in shifts)
+    assert all(z.imag >= 0 for (z,) in shifts + dets)
     # the certified eigenvalue is the match: lambda_re is the abscissa
     assert all(record.lam.real == record.abscissa for record in records)
 
@@ -251,12 +252,15 @@ def test_structured_sweep_memory():
 
 
 def test_arpack_is_imported_by_the_structured_path_only():
+    # the structured path runs its own Arnoldi iteration: no path imports
+    # scipy.sparse.linalg, ARPACK's wrapper
     code = (
         "import sys, popstab\n"
         "from popstab import assemble, builtin, compute_spectrum\n"
         "popstab.builtin('ex1_1')\n"
         "compute_spectrum(assemble(builtin('appendix1d')[0], 20), k=1)\n"
         "compute_spectrum(assemble(builtin('ex2_1')[0], 12), k=1)\n"
+        "print(compute_spectrum(assemble(builtin('ex2_1')[0], 16), k=1).path)\n"
         "print('scipy.sparse.linalg' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -264,7 +268,70 @@ def test_arpack_is_imported_by_the_structured_path_only():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["structured", "False"]
+
+
+@pytest.mark.parametrize("n", [24, 32, 40, 48])
+def test_arnoldi_run_stops_once_the_rightmost_group_settles(monkeypatch, n):
+    # ARPACK took 70-146 operator applications per degree here
+    model, _ = builtin("ex2_1")
+    solver = structured.StructuredSolver(assemble(model, n))
+    solves = []
+    solve = structured._Shift.solve
+
+    def spy(self, r):
+        solves.append(r)
+        return solve(self, r)
+
+    monkeypatch.setattr(structured._Shift, "solve", spy)
+    solver._ritz(0.0)
+    # r solves build (L - sigma I)^{-1} U, each later one is an application
+    assert len(solves) - len(solver.u) <= 30
+
+
+def test_arnoldi_step_cap_falls_back_to_dense(monkeypatch):
+    model, _ = builtin("ex2_1")
+    gen = assemble(model, N_MIN)
+    monkeypatch.setattr(structured, "ARNOLDI_STEPS", 3)
+    with pytest.raises(structured.Uncertified):
+        structured.StructuredSolver(gen).rightmost()
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "dense"
+    assert np.array_equal(report.eigenvalues, _sorted(eigenvalues(gen.matrix)))
+
+
+@pytest.mark.parametrize(
+    "name, n, m",
+    [(name, n, n) for name in SEPARABLE_2D + ["nonproduct"] for n in (8, 16, 32)]
+    + [(name, 12, 20) for name in SEPARABLE_2D + ["nonproduct"]],
+)
+def test_pruned_norm_equals_the_dense_norm(name, n, m):
+    model = load_model(NONPRODUCT) if name == "nonproduct" else builtin(name)[0]
+    gen = assemble(model, n, m)
+    want = norm_inf(gen.matrix)
+    assert abs(structured.StructuredSolver(gen).norm - want) <= 1e-15 * want
+
+
+def test_pruned_norm_when_the_largest_bounds_cancel():
+    # alpha_i + beta_j cancels on the 80 rows of largest bound, so the
+    # largest row sum lies past the first NORM_CHUNK rows by bound
+    rng = np.random.default_rng(5)
+    n, m = 9, 11
+    px, py = 0.1 * rng.standard_normal((n, n)), 0.1 * rng.standard_normal((m, m))
+    shape = rng.standard_normal(n * m)
+    a, b = np.r_[0, np.full(n - 1, 10.0)], np.r_[0, np.full(m - 1, 10.0)]
+    alpha = np.outer(a, shape) + 0.1 * rng.standard_normal((n, n * m))
+    beta = -np.outer(b, shape)
+    lifted = -np.kron(px, np.eye(m)) - np.kron(np.eye(n), py)
+    dense = lifted + np.repeat(alpha, m, axis=0) + np.tile(beta, (n, 1))
+    want = norm_inf(dense)
+    bound = np.add.outer(
+        np.abs(alpha).sum(1) + np.abs(px).sum(1), np.abs(beta).sum(1) + np.abs(py).sum(1)
+    ).ravel()
+    sums = np.abs(dense).sum(axis=1)
+    assert np.argsort(-bound, kind="stable").tolist().index(np.argmax(sums)) >= structured.NORM_CHUNK
+    got = structured._norm_inf(px, py, alpha.reshape(n, n, m), beta.reshape(m, n, m))
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_non_finite_structured_norm_is_an_overflow():
