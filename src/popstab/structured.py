@@ -136,16 +136,11 @@ def _compress(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         samples *= 2
 
 
-def _group_size(lam: np.ndarray) -> int:
-    """The number of values in the rightmost group of lam, sorted rightmost
-    first: those within GROUP_RTOL of the first one's real part."""
-    top = lam[0].real
-    return int(np.count_nonzero(lam.real >= top - GROUP_RTOL * max(1.0, abs(top))))
-
-
 def _group(lam: np.ndarray) -> slice:
-    """The rightmost group of lam, sorted rightmost first."""
-    return slice(0, _group_size(lam))
+    """The rightmost group of lam, sorted rightmost first: the values
+    within GROUP_RTOL of the first one's real part."""
+    top = lam[0].real
+    return slice(0, int(np.count_nonzero(lam.real >= top - GROUP_RTOL * max(1.0, abs(top)))))
 
 
 def _shifted(t: np.ndarray, z) -> np.ndarray:
@@ -276,7 +271,7 @@ class StructuredSolver:
         h = np.zeros((steps + 1, steps))
         v = np.random.default_rng(0).standard_normal(dim)
         basis[0] = v / np.linalg.norm(v)
-        previous = None
+        previous = np.empty(0)
         for p in range(steps):
             y = shift.solve(basis[p].reshape(self.shape))
             coef = scipy.linalg.lu_solve(lu, np.tensordot(self.w, y, 2), check_finite=False)
@@ -306,7 +301,6 @@ class StructuredSolver:
             values = lam[pick]
             if (
                 (residual <= RITZ_TOL * np.abs(nu[pick])).all()
-                and previous is not None
                 and len(previous) == len(values)
                 and (np.abs(values - previous) <= SETTLE_ULPS * EPS * np.abs(values)).all()
             ):
@@ -321,11 +315,10 @@ class StructuredSolver:
         right of c, halfway to the next Ritz value (converged or not), that
         equals its size.  Sets ``line`` to c."""
         lam = self._ritz(0.0)
-        size = _group_size(lam)
-        if size == len(lam):
+        group = lam[_group(lam)]
+        if len(group) == len(lam):
             raise Uncertified("no gap after the rightmost Ritz values")
-        group = lam[:size]
-        c = 0.5 * (group[-1].real + lam[size].real)
+        c = 0.5 * (group[-1].real + lam[len(group)].real)
         count = self.count_right(c)
         if count != len(group):
             raise Uncertified(f"{count} eigenvalues right of {c}, but {len(group)} Ritz values")

@@ -273,7 +273,7 @@ def test_arpack_is_imported_by_the_structured_path_only():
 
 @pytest.mark.parametrize("n", [24, 32, 40, 48])
 def test_arnoldi_run_stops_once_the_rightmost_group_settles(monkeypatch, n):
-    # ARPACK took 70-146 operator applications per degree here
+    # ARPACK took 70-114 operator applications per degree here
     model, _ = builtin("ex2_1")
     solver = structured.StructuredSolver(assemble(model, n))
     solves = []
