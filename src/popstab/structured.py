@@ -24,27 +24,36 @@ The eigenvalues near a shift come from an unrestarted Arnoldi run on
 Problems*, 2nd ed., 2011, ch. 6): one Sylvester solve and one Woodbury
 update per step, classical Gram-Schmidt applied twice, a fixed-seed start.
 It stops as soon as the Ritz values its caller wants have converged, by
-ARPACK's residual test and by staying unchanged to a few ulps from one step
-to the next, and raises :class:`Uncertified` at a cap on the steps.
+ARPACK's residual test and by moving, from one step to the next, by no more
+than their rounding floor in the Hessenberg matrix H: a few eps kappa ||H||,
+with kappa the condition number of the Ritz value.  It raises
+:class:`Uncertified` at a cap on the steps.  On an ill-conditioned
+eigenvalue that floor can lie far above the dense path's eps kappa ||G||, so
+each wanted Ritz value is then refined on G itself by two-sided Rayleigh
+quotient iteration (Parlett, Math. Comp. 28(127), 1974), whose quotient
+y^T G x / y^T x is accurate to about eps kappa ||G|| as well.
 
 - :meth:`StructuredSolver.rightmost` runs it at sigma = 0 until the
-  rightmost group of Ritz values converges, and certifies that group by
+  rightmost group of Ritz values converges, certifies that group by
   the argument principle: det(G - zI) = det(L - zI) det K(z), so the number of
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
   the winding number of det K along the line.  det K is sampled on the
   upper half of the line only (G is real, so the lower half is its mirror
   image), and only up to |z| = ``tail``, beyond which K provably stays
   within 1/2 of I: the far part of the line and the closing arc are proven,
-  the near part is sampled and refined heuristically.
+  the near part is sampled and refined heuristically.  Then it refines the
+  group.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
-  Ritz value nearest the shift converges, for a reference that the
-  certified eigenvalues do not decide.
+  Ritz value nearest the shift converges, and refines that value, for a
+  reference that the certified eigenvalues do not decide.
 - :meth:`StructuredSolver.eigenvector` returns (L - lam I)^{-1} U k, with k
   the null vector of K(lam).
 
-Every failure (no convergence within the step cap, ``trsyl`` near a
-singular Sylvester operator, a singular K, a count that does not certify)
-raises :class:`Uncertified`; the caller then takes the dense path.  No
+Every failure (no convergence within the step caps, ``trsyl`` near a
+singular Sylvester operator or a singular K other than at the end of a
+refinement, a count that does not certify, a refined value nearer another
+Ritz value than its own) raises :class:`Uncertified`; the caller then takes
+the dense path.  No
 nm x nm array is formed.
 """
 
@@ -77,14 +86,18 @@ RANK_RTOL = 64 * EPS
 SKETCH_SAMPLES = 10
 
 # The Arnoldi run on (G - sigma I)^{-1}: at most ARNOLDI_STEPS operator
-# applications.  A wanted Ritz value nu has converged when ARPACK's test
-# |h_{p+1,p} s_p| <= RITZ_TOL |nu| holds for its Ritz vector s and its
-# eigenvalue sigma + 1/nu has moved by at most SETTLE_ULPS units in the last
-# place since the previous step: on an ill-conditioned eigenvalue the
-# residual test alone stops while the value is still far off.
+# applications.  A wanted Ritz value nu of H has converged when ARPACK's test
+# |h_{p+1,p} s_p| <= RITZ_TOL |nu| holds for its unit Ritz vector s and nu
+# has moved by at most SETTLE_ULPS eps kappa ||H||_F since the previous step,
+# kappa = 1 / |l^H s| with l its unit left eigenvector: on an ill-conditioned
+# eigenvalue the residual test alone stops while the value still moves, and
+# rounding keeps it moving by about eps kappa ||H|| for good.
 ARNOLDI_STEPS = 100
 RITZ_TOL = 1e-12
 SETTLE_ULPS = 4
+# Rayleigh quotient iteration: at most this many steps; it stops once a step
+# is within SETTLE_ULPS ulps or no shorter than the one before.
+POLISH_STEPS = 8
 
 # ||G||inf sums the rows of largest bound exactly, this many at a time.
 NORM_CHUNK = 64
@@ -105,6 +118,11 @@ GROUP_RTOL = 1e-8
 
 class Uncertified(ArithmeticError):
     """The structured path could not solve or certify; use the dense path."""
+
+
+class _Singular(Uncertified):
+    """A solve at the shift z is singular: z is an eigenvalue of L (the
+    Sylvester operator) or of G (K(z)) to working precision."""
 
 
 def applies(generator: GeneratorMatrix) -> bool:
@@ -150,9 +168,22 @@ def _shifted(t: np.ndarray, z) -> np.ndarray:
     return a
 
 
-def _trsyl(a: np.ndarray, ty: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Y and the scale s of a Y + Y T_y = -s r, by LAPACK trsyl."""
-    y, scale, info = scipy.linalg.get_lapack_funcs("trsyl", (a, ty))(a, ty, -r)
+def _trsyl(
+    a: np.ndarray, ty: np.ndarray, r: np.ndarray, transpose: bool = False
+) -> tuple[np.ndarray, float]:
+    """Y and the scale s of a Y + Y T_y = -s r, or with transpose of
+    a^T Y + Y T_y^T = -s r, by LAPACK trsyl."""
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (a, ty))
+    if not transpose:
+        y, scale, info = trsyl(a, ty, -r)
+    elif np.iscomplexobj(a):
+        # the complex trsyl transposes with conjugation only
+        y, scale, info = trsyl(a, ty, -np.conj(r), trana="C", tranb="C")
+        y = np.conj(y)
+    else:
+        y, scale, info = trsyl(a, ty, -r, trana="T", tranb="T")
+    if info == 1:
+        raise _Singular("trsyl perturbed the shifted Sylvester operator: it is near singular")
     if info != 0:
         raise Uncertified(f"trsyl returned info {info}")
     return y, scale
@@ -160,30 +191,53 @@ def _trsyl(a: np.ndarray, ty: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, fl
 
 class _Shift:
     """(G - zI)^{-1} at one shift z, in Schur coordinates: the Sylvester
-    solve with T_x + zI, (L - zI)^{-1} U and the capacitance K(z)."""
+    solve with T_x + zI, (L - zI)^{-1} U and the capacitance K(z).
+
+    Vectors acted on by G are arrays in the coordinates of U, those acted on
+    by G^T in the coordinates of W; the bilinear sum(a * b) of one of each
+    is the plain dot product of the vectors they stand for."""
 
     def __init__(self, tx: np.ndarray, ty: np.ndarray, u: np.ndarray, w: np.ndarray, z):
         self.a = _shifted(tx, z)
         self.ty = ty
+        self.u, self.w = u, w
         self.zu = np.array([self.solve(uk) for uk in u])
         self.k = np.eye(len(u)) + np.tensordot(w, self.zu, axes=([1, 2], [1, 2]))
         if not np.isfinite(self.k).all():
             raise Uncertified(f"the capacitance at {z} is not finite")
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """(L - zI)^{-1} of the Schur-coordinate array r."""
-        y, scale = _trsyl(self.a, self.ty, r)
+    def solve(self, r: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(L - zI)^{-1} r, or with transpose (L^T - zI)^{-1} r."""
+        y, scale = _trsyl(self.a, self.ty, r, transpose)
         return y / scale
 
-    def factor(self) -> tuple:
+    @functools.cached_property
+    def lu(self) -> tuple:
+        """The LU factors of K(z)."""
         with warnings.catch_warnings():
             # exact singularity is reported below
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(self.k, check_finite=False)
         # a nearly singular K is what shift-invert near an eigenvalue gives
         if not np.diag(lu).all():
-            raise Uncertified("the capacitance is singular at the shift")
+            raise _Singular("the capacitance is singular at the shift")
         return lu, piv
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """(G - zI)^{-1} r, by the Woodbury formula."""
+        y = self.solve(r)
+        coef = scipy.linalg.lu_solve(self.lu, np.tensordot(self.w, y, 2), check_finite=False)
+        return y - np.tensordot(coef, self.zu, 1)
+
+    def apply_transpose(self, r: np.ndarray) -> np.ndarray:
+        """(G^T - zI)^{-1} r = (L^T - zI + W U^T)^{-1} r, by the Woodbury
+        formula with K(z)^T."""
+        zw = np.array([self.solve(wk, transpose=True) for wk in self.w])
+        y = self.solve(r, transpose=True)
+        coef = scipy.linalg.lu_solve(
+            self.lu, np.tensordot(self.u, y, 2), trans=1, check_finite=False
+        )
+        return y - np.tensordot(coef, zw, 1)
 
 
 def _quiet(method):
@@ -264,7 +318,6 @@ class StructuredSolver:
         part 0.0.  The run stops once the values that ``wanted`` picks from
         them, in that order, have converged."""
         shift = self._shift(complex(sigma))
-        lu = shift.factor()
         dim = math.prod(self.shape)
         steps = min(ARNOLDI_STEPS, dim - 1)
         basis = np.empty((steps + 1, dim))
@@ -273,9 +326,7 @@ class StructuredSolver:
         basis[0] = v / np.linalg.norm(v)
         previous = np.empty(0)
         for p in range(steps):
-            y = shift.solve(basis[p].reshape(self.shape))
-            coef = scipy.linalg.lu_solve(lu, np.tensordot(self.w, y, 2), check_finite=False)
-            v = (y - np.tensordot(coef, shift.zu, 1)).ravel()
+            v = shift.apply(basis[p].reshape(self.shape)).ravel()
             # classical Gram-Schmidt, applied twice
             for _ in range(2):
                 proj = basis[: p + 1] @ v
@@ -298,32 +349,88 @@ class StructuredSolver:
             pick = order[wanted(lam[order])]
             # ARPACK's test: the residual of the Ritz pair against |nu|
             residual = h[p + 1, p] * np.abs(s[-1, pick])
-            values = lam[pick]
-            if (
-                (residual <= RITZ_TOL * np.abs(nu[pick])).all()
-                and len(previous) == len(values)
-                and (np.abs(values - previous) <= SETTLE_ULPS * EPS * np.abs(values)).all()
-            ):
-                return lam[order]
+            values = nu[pick]
+            if (residual <= RITZ_TOL * np.abs(values)).all() and len(previous) == len(values):
+                # kappa = ||l|| for the left eigenvector l with l^T s = 1, a
+                # row of the inverse of the (unit) eigenvector matrix
+                try:
+                    left = np.linalg.solve(s.T, np.eye(p + 1)[:, pick])
+                except np.linalg.LinAlgError as exc:
+                    raise Uncertified(str(exc)) from exc
+                floor = SETTLE_ULPS * EPS * np.linalg.norm(left, axis=0)
+                if (np.abs(values - previous) <= floor * np.linalg.norm(h[: p + 1, : p + 1])).all():
+                    return lam[order]
             previous = values
         raise Uncertified(f"no convergence in {steps} Arnoldi steps")
+
+    def _polish(self, lam: np.ndarray, i: int) -> complex:
+        """The Ritz value lam[i], lam[i].imag >= 0, refined by two-sided
+        Rayleigh quotient iteration on G: x and y run inverse iteration with
+        G - zI and G^T - zI from fixed-seed starts, and the next shift is
+        y^T G x / y^T x, with G x = L x + U W^T x formed directly.  A real
+        value stays real.  Raises :class:`Uncertified` when the iteration
+        does not settle within POLISH_STEPS steps, or when the result lies
+        nearer another Ritz value than lam[i]."""
+        tx, ty, u, w, z = self._coordinates(complex(lam[i]))
+        x, y = np.random.default_rng(0).standard_normal((2, *self.shape))
+        step = math.inf
+        for _ in range(POLISH_STEPS):
+            try:
+                shift = self._shift(complex(z))
+                x = shift.apply(x)
+                y = shift.apply_transpose(y)
+            except _Singular:
+                # the solves cannot tell z from an eigenvalue of L or of G:
+                # this iteration gets no closer
+                break
+            x /= np.linalg.norm(x)
+            y /= np.linalg.norm(y)
+            gx = np.tensordot(np.tensordot(w, x, 2), u, 1) - tx @ x - x @ ty
+            rho = np.sum(y * gx) / np.sum(y * x)
+            if not np.isfinite(rho):
+                raise Uncertified(f"the Rayleigh quotient near {lam[i]} is not finite")
+            previous, step = step, abs(rho - z)
+            z = rho if np.iscomplexobj(z) else rho.real
+            if step <= SETTLE_ULPS * EPS * abs(z) or step >= previous:
+                break
+        else:
+            raise Uncertified(f"no convergence near {lam[i]} in {POLISH_STEPS} steps")
+        distance = np.abs(lam - z)
+        if np.count_nonzero(distance <= distance[i]) > 1:
+            raise Uncertified(f"{lam[i]} refines to {z}, nearer another Ritz value")
+        return complex(z)
+
+    def _refine(self, lam: np.ndarray, wanted: slice) -> np.ndarray:
+        """lam[wanted], each refined by :meth:`_polish`; a value in the lower
+        half-plane is the conjugate of its refined mirror image, which
+        lam[wanted] holds too."""
+        indices = range(len(lam))[wanted]
+        upper = {lam[i]: self._polish(lam, i) for i in indices if lam[i].imag >= 0}
+        return np.array(
+            [upper[v] if v.imag >= 0 else upper[v.conj()].conjugate() for v in lam[wanted]]
+        )
 
     @_quiet
     def rightmost(self) -> np.ndarray:
         """The eigenvalues of G right of a line Re z = c, rightmost first:
         the rightmost group of Ritz values at sigma = 0, certified by a count
         right of c, halfway to the next Ritz value (converged or not), that
-        equals its size.  Sets ``line`` to c."""
+        equals its size, and then refined; each stays right of c.  Sets
+        ``line`` to c."""
         lam = self._ritz(0.0)
-        group = lam[_group(lam)]
-        if len(group) == len(lam):
+        wanted = _group(lam)
+        size = wanted.stop
+        if size == len(lam):
             raise Uncertified("no gap after the rightmost Ritz values")
-        c = 0.5 * (group[-1].real + lam[len(group)].real)
+        c = 0.5 * (lam[size - 1].real + lam[size].real)
         count = self.count_right(c)
-        if count != len(group):
-            raise Uncertified(f"{count} eigenvalues right of {c}, but {len(group)} Ritz values")
+        if count != size:
+            raise Uncertified(f"{count} eigenvalues right of {c}, but {size} Ritz values")
+        group = self._refine(lam, wanted)
+        if not (group.real > c).all():
+            raise Uncertified(f"a refined eigenvalue lies left of {c}")
         self.line = c
-        return group
+        return group[np.lexsort((-group.imag, -group.real))]
 
     @_quiet
     def count_right(self, c: float) -> int:
@@ -361,10 +468,14 @@ class StructuredSolver:
         """
         omegas = np.sinh(np.linspace(math.asinh(COUNT_HALF_WIDTH), 0.0, COUNT_SAMPLES))
         omegas = list(omegas[max(np.count_nonzero(omegas >= self.tail) - 1, 0):])
-        top = complex(c, omegas[0])
-        values = [self._det_k(top)]
         # K at the top sample, for the check and the closing arc
-        k = np.array([[values[0]]]) if len(self.u) == 1 else self._shift(top).k
+        top = complex(c, omegas[0])
+        if len(self.u) == 1:
+            values = [self._det_k(top)]
+            k = np.array([values])
+        else:
+            k = self._shift(top).k
+            values = [complex(np.linalg.det(k))]
         if not (np.isfinite(k).all() and np.linalg.norm(k - np.eye(len(k)), 2) < 0.5):
             raise Uncertified(f"||K - I|| >= 1/2 at omega = {omegas[0]:g}")
         closing = float(np.angle(np.linalg.eigvals(k)).sum())
@@ -401,7 +512,7 @@ class StructuredSolver:
             return slice(i, i + 1)
 
         lam = self._ritz(sigma, pick)
-        return complex(lam[pick(lam)][0])
+        return complex(self._refine(lam, pick(lam))[0])
 
     @_quiet
     def eigenvector(self, lam: complex) -> np.ndarray:

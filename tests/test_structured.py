@@ -110,7 +110,8 @@ def _spy(monkeypatch, name):
 def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
     model = builtin("ex2_1")[0] if text is None else load_model(text)
     solver = structured.StructuredSolver(assemble(model, N_MIN))
-    # every det K evaluation
+    # every det K evaluation but, at r > 1, the top sample's, whose K
+    # _winding builds itself
     shifts = _spy(monkeypatch, "_det_k")
     for c in (0.0, -1.5, -6.0):
         shifts.clear()
@@ -144,19 +145,26 @@ def test_sweep_runs_arpack_once_per_degree(monkeypatch):
     assert all(record.lam.real == record.abscissa for record in records)
 
 
-@pytest.mark.parametrize("ref_lambda", [-7.0, -20.0])
-def test_reference_left_of_the_line_takes_shift_invert(monkeypatch, ref_lambda):
+def _reference_model(ref_lambda):
     # ex2_1's coefficients; its certifying line lies near -3
-    model = load_model(
+    return load_model(
         "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 2\nmu = \"1\"\n"
         'alpha = "x^2 * abs(x) * (5/8)"\nbeta = "y^2 * abs(y) * (5/8)"\n'
         f"ref_lambda = {ref_lambda}\n"
     )
+
+
+@pytest.mark.parametrize("ref_lambda", [-7.0, -20.0])
+def test_reference_left_of_the_line_takes_shift_invert(monkeypatch, ref_lambda):
+    model = _reference_model(ref_lambda)
     gen = assemble(model, N_MIN)
     report = compute_spectrum(gen, k=1)
     assert report.path == "structured" and ref_lambda < report.solver.line
     nearest = _spy(monkeypatch, "nearest")
-    lam, _, eps_phi = eigen_errors(report, model.reference)
+    with monkeypatch.context() as patch:
+        # no fallback: the structured path answers without the dense matrix
+        _forbid_dense(patch)
+        lam, _, eps_phi = eigen_errors(report, model.reference)
     assert nearest == [(ref_lambda,)]
     assert math.isnan(eps_phi)
     values = _dense_report(gen).eigenvalues
@@ -170,6 +178,77 @@ def test_reference_left_of_the_line_takes_shift_invert(monkeypatch, ref_lambda):
         kappa = 1 / abs(np.vdot(left[:, i], right[:, i]))
         tol = np.finfo(float).eps * kappa * norm_inf(gen.matrix)
     assert abs(lam - want) <= tol
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_ill_conditioned_reference_is_refined_on_the_structured_path(monkeypatch, n):
+    # kappa of the eigenvalue nearest -20 is about 2e8 at n = 20 and 1e5 at
+    # n = 32; the unrefined Ritz value lies 30 to 340 times further off
+    gen = assemble(_reference_model(-20.0), n)
+    solver = structured.StructuredSolver(gen)
+    with monkeypatch.context() as patch:
+        _forbid_dense(patch)
+        lam = solver.nearest(-20.0)
+    values, left, right = scipy.linalg.eig(gen.matrix, left=True)
+    i = np.argmin(np.abs(values - lam))
+    kappa = 1 / abs(np.vdot(left[:, i], right[:, i]))
+    assert abs(lam - values[i]) <= np.finfo(float).eps * kappa * norm_inf(gen.matrix)
+    assert i == np.lexsort((-values.imag, -values.real, np.abs(values + 20.0)))[0]
+
+
+def test_reference_at_an_eigenvalue_of_the_kronecker_sum(monkeypatch):
+    # at n = 64 the eigenvalue of G nearest -20 is one of L as well, to
+    # working precision: the refinement stops at the singular Sylvester
+    # solve instead of giving up
+    solver = structured.StructuredSolver(assemble(_reference_model(-20.0), 64))
+    with monkeypatch.context() as patch:
+        _forbid_dense(patch)
+        lam = solver.nearest(-20.0)
+    tx, ty = solver._complex_schur[:2]
+    kronecker_sum = np.add.outer(-tx.diagonal(), -ty.diagonal())
+    assert np.min(np.abs(kronecker_sum - lam)) <= 1e-12 * abs(lam)
+
+
+def test_rayleigh_quotient_step_cap_raises(monkeypatch):
+    solver = structured.StructuredSolver(assemble(_reference_model(-20.0), N_MIN))
+    monkeypatch.setattr(structured, "POLISH_STEPS", 1)
+    with pytest.raises(structured.Uncertified):
+        solver.nearest(-20.0)
+
+
+def test_refinement_that_lands_nearer_another_ritz_value_raises():
+    model, _ = builtin("ex2_1")
+    solver = structured.StructuredSolver(assemble(model, N_MIN))
+    top = solver._ritz(0.0)[0]
+    # a value 1e-3 right of the rightmost eigenvalue refines onto it
+    with pytest.raises(structured.Uncertified):
+        solver._polish(np.array([top, top + 1e-3]), 1)
+
+
+def test_refined_conjugate_pair_is_exact():
+    model, _ = builtin("ex2_1")
+    gen = assemble(model, N_MIN)
+    solver = structured.StructuredSolver(gen)
+    ritz = solver._ritz(0.0)
+    pair = solver._refine(ritz, slice(1, 3))
+    assert pair[0].imag > 0 and pair[1] == np.conj(pair[0])
+    values = _dense_report(gen).eigenvalues
+    want = values[np.argmin(np.abs(values - pair[0]))]
+    assert _close(pair[0], want)
+
+
+@pytest.mark.parametrize("z", [-3.0, complex(-3.0, 2.0)], ids=["real", "complex"])
+@pytest.mark.parametrize("text", [None, NONPRODUCT], ids=["ex2_1", "nonproduct"])
+def test_transposed_solve_is_the_adjoint_of_the_solve(text, z):
+    # b^T (G - zI)^{-1} a = ((G^T - zI)^{-1} b)^T a, in the coordinates of
+    # U for a and of W for b
+    model = builtin("ex2_1")[0] if text is None else load_model(text)
+    solver = structured.StructuredSolver(assemble(model, 16))
+    shift = solver._shift(complex(z))
+    a, b = np.random.default_rng(3).standard_normal((2, 16, 16))
+    left = np.sum(b * shift.apply(a))
+    right = np.sum(shift.apply_transpose(b) * a)
+    assert abs(left - right) <= 1e-10 * abs(left)
 
 
 def _forbid_dense(monkeypatch):
