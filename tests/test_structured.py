@@ -110,8 +110,8 @@ def _spy(monkeypatch, name):
 def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
     model = builtin("ex2_1")[0] if text is None else load_model(text)
     solver = structured.StructuredSolver(assemble(model, N_MIN))
-    # every det K evaluation but, at r > 1, the top sample's, whose K
-    # _winding builds itself
+    # every det K evaluation but the top sample's, whose K _winding builds
+    # itself
     shifts = _spy(monkeypatch, "_det_k")
     for c in (0.0, -1.5, -6.0):
         shifts.clear()
@@ -121,7 +121,7 @@ def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
         assert min(omegas) == 0.0
         # the grid, walked down to omega = 0, then midpoints of earlier samples
         grid = omegas.index(0.0) + 1
-        assert grid <= structured.COUNT_SAMPLES == 201
+        assert grid <= 201
         assert omegas[:grid] == sorted(omegas[:grid], reverse=True)
         seen = omegas[:grid]
         midpoints = {0.5 * (a + b) for i, a in enumerate(seen) for b in seen[:i]}
@@ -131,7 +131,53 @@ def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
             seen.append(w)
 
 
-def test_sweep_runs_arpack_once_per_degree(monkeypatch):
+@pytest.mark.parametrize("tail", [math.inf, 1e300], ids=["inf", "1e300"])
+def test_count_refuses_a_tail_it_cannot_sample(monkeypatch, tail):
+    # a tail that is not finite, or whose grid alone exceeds MAX_EVALUATIONS
+    gen = assemble(builtin("ex2_1")[0], N_MIN)
+    solver = structured.StructuredSolver(gen)
+    solver.tail = tail
+    with monkeypatch.context() as patch:
+        dets, shifts = _spy(patch, "_det_k"), _spy(patch, "_shift")
+        with pytest.raises(structured.Uncertified):
+            solver.count_right(-1.5)
+        # raised before any sampling
+        assert dets == shifts == []
+    init = structured.StructuredSolver.__init__
+
+    def init_with_tail(self, generator):
+        init(self, generator)
+        self.tail = tail
+
+    monkeypatch.setattr(structured.StructuredSolver, "__init__", init_with_tail)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "dense"
+    assert np.array_equal(report.eigenvalues, _sorted(eigenvalues(gen.matrix)))
+
+
+# ex2_1 with every coefficient scaled by 1e5: at n = 16 the tail is about 4.6e7
+SCALED_EX2_1 = (
+    "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 2\nmu = \"1e5\"\n"
+    'alpha = "x^2 * abs(x) * (5/8) * 1e5"\nbeta = "y^2 * abs(y) * (5/8) * 1e5"\n'
+    'gx = "1e5"\ngy = "1e5"\n'
+)
+
+
+def test_count_with_a_tail_beyond_1e6():
+    gen = assemble(load_model(SCALED_EX2_1), 16)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    solver = report.solver
+    assert solver.tail > 1e7
+    dense = _dense_report(gen)
+    assert abs(report.abscissa - dense.abscissa) <= 1e-12 * abs(dense.abscissa)
+    values = dense.eigenvalues
+    real_parts = np.unique(values.real.round(9))[::-1]
+    for c in (0.0, 0.5 * (real_parts[1] + real_parts[2])):
+        assert solver.count_right(c) == np.count_nonzero(values.real > c), c
+
+
+def test_sweep_runs_arnoldi_once_per_degree(monkeypatch):
     model, _ = builtin("ex2_1")
     ritz = _spy(monkeypatch, "_ritz")
     shifts = _spy(monkeypatch, "_shift")
@@ -330,7 +376,7 @@ def test_structured_sweep_memory():
     assert peak < (n * n) ** 2 * 8 / 8
 
 
-def test_arpack_is_imported_by_the_structured_path_only():
+def test_no_path_imports_scipy_sparse_linalg():
     # the structured path runs its own Arnoldi iteration: no path imports
     # scipy.sparse.linalg, ARPACK's wrapper
     code = (
