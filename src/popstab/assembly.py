@@ -234,18 +234,6 @@ def _mortality_block(mu: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
     return t.reshape(mu.size, mu.size).T
 
 
-def assemble_mortality(model: Model, axes: tuple[Axis, ...]) -> np.ndarray:
-    """The mortality block: cumulative integral, along every axis, of mu
-    times the derivative along every axis, D^{-1} diag(mu) D with
-    D = D_x (x) D_y.  For a separable mu, the lifts of the blocks M_k."""
-    parts, mu = _mortality(model, axes)
-    if mu is not None:
-        return _mortality_block(mu, axes)
-    block = np.zeros((math.prod(ax.n for ax in axes),) * 2)
-    _add_lifts(block, parts)
-    return block
-
-
 # The inflow kernel across the left edge of each axis.
 _KERNELS = ("beta", "alpha")
 
@@ -264,8 +252,6 @@ def _boundary_rows(
     cumulative integral along the other axis.  Each step acts one axis at
     a time.  In 1-D there is no other axis and the row is (w beta)^T E D.
     """
-    if not 0 <= axis < len(axes):
-        raise ValueError(f"axis must be in 0..{len(axes) - 1}, got {axis!r}")
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
     name = _KERNELS[axis]
@@ -290,17 +276,6 @@ def _boundary_rows(
     shape = [ax.n for ax in axes]
     shape[axis] = 1
     return t.reshape(*shape, dim)
-
-
-def assemble_boundary(
-    model: Model, axes: tuple[Axis, ...], axis: int, oversample: int = 2
-) -> np.ndarray:
-    """The boundary block of ``axes[axis]`` (see :func:`_boundary_rows`) as
-    a dense dim x dim array."""
-    rows = _boundary_rows(model, axes, axis, oversample)
-    dim = rows.shape[-1]
-    block = np.broadcast_to(rows, (*(ax.n for ax in axes), dim))
-    return np.ascontiguousarray(block).reshape(dim, dim)
 
 
 def _velocity_samples(coef, nodes, name: str) -> np.ndarray:

@@ -85,26 +85,19 @@ def bary_weights(nodes) -> np.ndarray:
     return weights / np.max(np.abs(weights))
 
 
-def diff_matrix(nodes, weights=None) -> np.ndarray:
-    """Differentiation matrix D[i, j] = l_j'(x_i) over the given nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    if weights is None:
-        weights = bary_weights(nodes)
+def diff_ops(grid: ChebGrid) -> DiffOps:
+    """Full and trimmed differentiation matrices for a Chebyshev grid:
+    D[i, j] = l_j'(x_i) over its nodes."""
+    nodes, weights = grid.nodes, grid.bary_weights
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
-    d = (weights[None, :] / weights[:, None]) / diff
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -np.sum(d, axis=1))
-    return d
-
-
-def diff_ops(grid: ChebGrid) -> DiffOps:
-    """Full and trimmed differentiation matrices for a Chebyshev grid."""
-    full = diff_matrix(grid.nodes, grid.bary_weights)
+    full = (weights[None, :] / weights[:, None]) / diff
+    np.fill_diagonal(full, 0.0)
+    np.fill_diagonal(full, -np.sum(full, axis=1))
     return DiffOps(full, full[1:, 1:].copy())
 
 
-def interp_matrix(nodes, targets, weights=None) -> np.ndarray:
+def interp_matrix(nodes, targets) -> np.ndarray:
     """Barycentric evaluation matrix from values at nodes to targets.
 
     E[t, j] is the j-th Lagrange basis polynomial over ``nodes`` evaluated
@@ -113,8 +106,7 @@ def interp_matrix(nodes, targets, weights=None) -> np.ndarray:
     """
     nodes = np.asarray(nodes, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if weights is None:
-        weights = bary_weights(nodes)
+    weights = bary_weights(nodes)
     diff = targets[:, None] - nodes[None, :]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

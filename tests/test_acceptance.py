@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from popstab.assembly import assemble_boundary, assemble_mortality, collocation_grids
+from popstab.assembly import _mortality, assemble, collocation_grids
 from popstab.grid import cheb_grid, diff_ops
 from popstab.linalg import eigenvalues, eigenvector, norm_inf
 from popstab.model import APPENDIX_1D_LAMBDA, BUILTIN_NAMES, builtin, load_model
@@ -195,13 +195,20 @@ def test_criterion_6_appendix_1d():
     )
 
 
+def _separable_mortality(model, n):
+    """The mortality block of a separable mu at n = m: the generator's
+    per-axis blocks M_x and M_y, lifted with np.kron."""
+    (mx, my), _ = _mortality(model, collocation_grids(model, n, n))
+    return np.kron(mx, np.eye(n)) + np.kron(np.eye(n), my)
+
+
 def test_criterion_7_structural_identities():
     problems = []
     # constant-mu diagonality, both the diagonal shortcut and the
     # composed cumulative route
     model11, _ = builtin("ex1_1")
     for n in (4, 8, 16):
-        m_block = assemble_mortality(model11, collocation_grids(model11, n, n))
+        m_block = _separable_mortality(model11, n)
         err = norm_inf(m_block - np.eye(n * n))
         if err > 1e-10 * 2.0:
             problems.append(f"shortcut mu=1 n={n}: {err:.2e}")
@@ -212,7 +219,7 @@ def test_criterion_7_structural_identities():
     for c in (1.0, 3.7):
         for n in (8, 12):
             model = load_model(base.format(mu=f"{c!r} + 0*x"))
-            m_block = assemble_mortality(model, collocation_grids(model, n, n))
+            m_block = _separable_mortality(model, n)
             err = norm_inf(m_block - c * np.eye(n * n))
             if err > 1e-10 * (1.0 + abs(c)):
                 problems.append(f"composed mu={c} n={n}: {err:.2e}")
@@ -226,12 +233,16 @@ def test_criterion_7_structural_identities():
         err = np.max(np.abs(dx @ dy - dy @ dx))
         if err > 1e-13 * scale:
             problems.append(f"kron commute ({n},{m}): {err:.2e}")
-    # bitwise row replication
+    # bitwise row replication: the boundary row factors (alpha's replicated
+    # along y, beta's along x) broadcast to the dense blocks
     for name, (n, m) in (("ex1_3", (6, 5)), ("ex2_4", (5, 5))):
-        model, _ = builtin(name)
-        axes = collocation_grids(model, n, m)
-        a_block = assemble_boundary(model, axes, 1)
-        b_block = assemble_boundary(model, axes, 0)
+        gen = assemble(builtin(name)[0], n, m)
+        beta_rows, alpha_rows = gen.rows
+        if alpha_rows.shape != (n, 1, n * m) or beta_rows.shape != (1, m, n * m):
+            problems.append(f"{name} row factors shaped {alpha_rows.shape}, {beta_rows.shape}")
+            continue
+        a_block = np.broadcast_to(alpha_rows, (n, m, n * m)).reshape(n * m, n * m)
+        b_block = np.broadcast_to(beta_rows, (n, m, n * m)).reshape(n * m, n * m)
         for k in range(n):
             for l in range(1, m):
                 if not np.array_equal(a_block[k * m + l], a_block[k * m]):

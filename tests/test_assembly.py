@@ -9,8 +9,6 @@ from popstab.assembly import (
     assemble,
     assemble_1d,
     assemble_2d,
-    assemble_boundary,
-    assemble_mortality,
     collocation_axis,
     collocation_grids,
 )
@@ -34,10 +32,30 @@ def load(text):
     return load_model(text)
 
 
+def _dense_mortality(model, axes):
+    """The mortality block D^{-1} diag(mu) D, D = D_x (x) D_y, read from the
+    factors the generator keeps: the per-axis blocks M_k of a separable mu,
+    lifted with np.kron, or the whole block of a mu that is not separable."""
+    parts, mu = assembly._mortality(model, axes)
+    if mu is not None:
+        return assembly._mortality_block(mu, axes)
+    if len(parts) == 1:
+        return parts[0]
+    mx, my = parts
+    return np.kron(mx, np.eye(len(my))) + np.kron(np.eye(len(mx)), my)
+
+
+def _dense_boundary(gen, axis):
+    """The dense boundary block of ``gen.axes[axis]``: its row factor, of
+    length 1 along that axis, broadcast along it."""
+    shape = (*(ax.n for ax in gen.axes), gen.dim)
+    return np.broadcast_to(gen.rows[axis], shape).reshape(gen.dim, gen.dim)
+
+
 def test_constant_mortality_is_identity():
     model, _ = builtin("ex1_1")
     axes = collocation_grids(model, 6, 5)
-    m_block = assemble_mortality(model, axes)
+    m_block = _dense_mortality(model, axes)
     assert np.max(np.abs(m_block - np.eye(30))) <= 1e-11
 
 
@@ -47,7 +65,7 @@ def test_constant_mortality_through_composition_route():
     for c in (1.0, 3.7):
         model = load(ZERO_2D.replace('mu = "0"', f'mu = "{c!r} + 0*x"'))
         axes = collocation_grids(model, 8, 8)
-        m_block = assemble_mortality(model, axes)
+        m_block = _dense_mortality(model, axes)
         err = np.max(np.sum(np.abs(m_block - c * np.eye(64)), axis=1))
         assert err <= 1e-10 * (1.0 + abs(c))
 
@@ -55,7 +73,7 @@ def test_constant_mortality_through_composition_route():
 def test_zero_mortality_is_exactly_zero():
     model = load(ZERO_2D)
     axes = collocation_grids(model, 4, 4)
-    assert np.array_equal(assemble_mortality(model, axes), np.zeros((16, 16)))
+    assert np.array_equal(_dense_mortality(model, axes), np.zeros((16, 16)))
 
 
 def test_mortality_action_exact_on_compatible_degrees():
@@ -66,7 +84,7 @@ def test_mortality_action_exact_on_compatible_degrees():
     axes = collocation_grids(model, 4, 4)
     tx, ty = (ax.theta for ax in axes)
     psi = (tx[:, None] ** 2 * ty[None, :]).ravel()  # psi = x^2 y, AC0 on [0,2]x[0,1]
-    m_block = assemble_mortality(model, axes)
+    m_block = _dense_mortality(model, axes)
     got = m_block @ psi
     expected = (((4.0 / 3.0) * tx**3 + tx**2)[:, None] * ty[None, :]).ravel()
     assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -74,9 +92,8 @@ def test_mortality_action_exact_on_compatible_degrees():
 
 def test_boundary_block_zero_kernel_exact():
     model = load(ZERO_2D)
-    axes = collocation_grids(model, 3, 4)
-    a_block = assemble_boundary(model, axes, 1)
-    assert np.array_equal(a_block, np.zeros((12, 12)))
+    gen = assemble(model, 3, 4)
+    assert np.array_equal(_dense_boundary(gen, 1), np.zeros((12, 12)))
 
 
 def test_boundary_block_ex11_symbolic_oracle():
@@ -84,21 +101,23 @@ def test_boundary_block_ex11_symbolic_oracle():
     # [l_i(1) - l_i(0)][l_j(1) - l_j(0)], nonzero only for i = j = 2, and the
     # outer cumulative integral of that constant is x_k * delta.
     model, _ = builtin("ex1_1")
-    axes = collocation_grids(model, 2, 2)
-    xs = axes[0].theta
+    gen = assemble(model, 2, 2)
+    xs = gen.axes[0].theta
     expected = np.zeros((4, 4))
     for k in range(2):
         for l in range(2):
             expected[k * 2 + l, 1 * 2 + 1] = xs[k]
-    assert np.max(np.abs(assemble_boundary(model, axes, 1) - expected)) <= 1e-10
+    assert np.max(np.abs(_dense_boundary(gen, 1) - expected)) <= 1e-10
 
 
 def test_boundary_rows_replicate_bitwise():
     model, _ = builtin("ex1_3")
     n, m = 5, 4
-    axes = collocation_grids(model, n, m)
-    a_block = assemble_boundary(model, axes, 1)
-    b_block = assemble_boundary(model, axes, 0)
+    gen = assemble(model, n, m)
+    # alpha's rows are replicated along y, beta's along x
+    assert gen.rows[1].shape == (n, 1, n * m) and gen.rows[0].shape == (1, m, n * m)
+    a_block = _dense_boundary(gen, 1)
+    b_block = _dense_boundary(gen, 0)
     for k in range(n):
         for l in range(1, m):
             assert np.array_equal(a_block[k * m + l], a_block[k * m])
@@ -128,20 +147,16 @@ def test_kronecker_commutation():
 def test_oversample_insensitive_for_smooth_kernels():
     for name in ("ex1_3", "ex1_4", "velocity"):
         model, _ = builtin(name)
-        axes = collocation_grids(model, 10, 10)
+        low = assemble(model, 10, 10, oversample=2)
+        high = assemble(model, 10, 10, oversample=4)
         for axis in (1, 0):
-            low = assemble_boundary(model, axes, axis, oversample=2)
-            high = assemble_boundary(model, axes, axis, oversample=4)
-            assert np.max(np.abs(low - high)) <= 1e-8
+            assert np.max(np.abs(low.rows[axis] - high.rows[axis])) <= 1e-8
 
 
 def test_oversample_validation():
     model, _ = builtin("ex1_1")
-    axes = collocation_grids(model, 2, 2)
     with pytest.raises(ValueError):
-        assemble_boundary(model, axes, 1, oversample=0)
-    with pytest.raises(ValueError):
-        assemble_boundary(model, axes, 2)
+        assemble(model, 2, 2, oversample=0)
 
 
 def test_ex11_eigenvalue_machine_precision_at_degree_two():
@@ -260,7 +275,7 @@ def test_per_axis_assembly_matches_kronecker_reference(n, m):
         matrix, m_block = _kron_reference(model, n, m)
         tol = 1e-14 * np.max(np.sum(np.abs(matrix), axis=1))
         assert np.max(np.abs(gen.matrix - matrix)) <= tol, name
-        assert np.max(np.abs(assemble_mortality(model, gen.axes) - m_block)) <= tol, name
+        assert np.max(np.abs(_dense_mortality(model, gen.axes) - m_block)) <= tol, name
 
 
 def test_each_trimmed_d_is_factored_once(monkeypatch):
@@ -345,7 +360,7 @@ def test_nonseparable_mortality_is_subtracted_after_the_boundary_rows():
     model = load(FILE_NONSEPARABLE)
     without = load(FILE_NONSEPARABLE.replace('mu = "x*y + 1"', 'mu = "0"'))
     gen = assemble(model, 6, 5)
-    m_block = assemble_mortality(model, gen.axes)
+    m_block = assembly._mortality_block(gen.mu, gen.axes)
     assert np.array_equal(gen.matrix, assemble(without, 6, 5).matrix - m_block)
 
 

@@ -67,6 +67,22 @@ def test_structured_path_agrees_with_dense(name, n):
     assert abs(report.matrix_norm - dense.matrix_norm) <= 1e-14 * dense.matrix_norm
 
 
+@pytest.mark.parametrize("name", ["ex2_1", "velocity", "ex1_4"])
+def test_structured_eigenvector_of_a_complex_eigenvalue(name):
+    # a complex eigenvalue goes through the complex Schur coordinates and
+    # their back-transform to the real ones
+    gen = assemble(builtin(name)[0], 16)
+    solver = compute_spectrum(gen, k=1).solver
+    dense = _dense_report(gen)
+    upper = dense.eigenvalues[dense.eigenvalues.imag > 0][:2]
+    assert len(upper) == 2
+    for lam in upper:
+        psi = solver.eigenvector(lam)
+        oracle = eigenvector(gen.matrix, lam, dense.matrix_norm)
+        phase = np.vdot(oracle, psi)
+        assert np.max(np.abs(psi - phase / abs(phase) * oracle)) <= 1e-12
+
+
 # a kernel that is not a product: the boundary term has rank 22 at n = 24
 NONPRODUCT = (
     "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\n"
