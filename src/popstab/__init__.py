@@ -6,7 +6,7 @@ collocation on Chebyshev extremal points; its spectrum determines the
 stability of the zero equilibrium.
 """
 
-from .assembly import GeneratorMatrix, assemble, assemble_1d, assemble_2d
+from .assembly import GeneratorMatrix, assemble
 from .model import BUILTIN_NAMES, builtin, load_model
 from .spectra import (
     Verdict,
@@ -25,8 +25,6 @@ __all__ = [
     "GeneratorMatrix",
     "Verdict",
     "assemble",
-    "assemble_1d",
-    "assemble_2d",
     "builtin",
     "compute_spectrum",
     "convergence_sweep",

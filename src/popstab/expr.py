@@ -297,8 +297,6 @@ def _eval(ast: Expr, ctx) -> object:
     func = ast.func
     if func == "step":
         return np.where(np.asarray(arg) >= 0, 1.0, 0.0)
-    if func == "abs":
-        return np.abs(arg)
     _check_domain(func, arg)
     return getattr(np, func)(arg)
 

@@ -32,9 +32,6 @@ def cc_weights(grid: ChebGrid) -> CCRule:
     weights are strictly positive.
     """
     n = grid.n
-    if n == 1:
-        w = np.array([1.0, 1.0]) * (grid.b - grid.a) / 2.0
-        return CCRule(grid, w)
     theta = np.pi * np.arange(1, n) / n
     k = np.arange(1, (n + 1) // 2)
     v = 1.0 - np.cos(np.outer(theta, 2.0 * k)) @ (2.0 / (4.0 * k * k - 1.0))

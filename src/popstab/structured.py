@@ -5,19 +5,20 @@ sum of the per-axis blocks, acting on the n x m array X[i, j] of a vector
 (row-major, as ``matrix.reshape(n, m, dim)`` reads it), and U W^T is the
 boundary term: the stacked row factors [V_alpha; V_beta] = C W^T are
 compressed to rank r by a randomized range finder (Halko, Martinsson &
-Tropp, SIAM Review 53(2), 2011), and column k of U is
-``np.add.outer(C[:n, k], C[n:, k])``.
+Tropp, SIAM Review 53(2), 2011), and column k of U is the outer sum of
+C[:n, k] and C[n:, k].
 
-All work happens in Schur coordinates, taken once per generator:
-P_x = Q_x T_x Q_x^T and P_y^T = Q_y T_y Q_y^T (real Schur forms), so that
-(L - zI) X = R is the quasi-triangular Sylvester equation
-(T_x + zI) Y + Y T_y = -Q_x^T R Q_y, solved by LAPACK ``trsyl``
-(Bartels & Stewart, CACM 15(9), 1972), and (G - zI)^{-1} follows by the
-Woodbury formula with the r x r capacitance K(z) = I + W^T (L - zI)^{-1} U,
-factored once per shift.  A real shift stays in real arithmetic, so the
-Ritz values, the eigenvalues of a real Hessenberg matrix, are real with an
-imaginary part of exactly 0.0 or come in exact conjugate pairs.  A complex
-shift uses the complex Schur forms.
+All work happens in Schur coordinates of the per-axis blocks (Bartels &
+Stewart, CACM 15(9), 1972), one frame per arithmetic: (quasi-)triangular
+T_x, T_y and unitary Z_x, Z_y with P_x Z_x = Z_x T_x and P_y Z_y = Z_y T_y^T.
+X = Z_x Y Z_y^T turns (L - zI) X = R into the Sylvester equation
+(T_x + zI) Y + Y T_y = -Z_x^H R conj(Z_y), solved by LAPACK ``trsyl``, and
+(G - zI)^{-1} follows by the Woodbury formula with the r x r capacitance
+K(z) = I + W^T (L - zI)^{-1} U, factored once per shift.  A real shift uses
+the real frame, from the real Schur forms, so the Ritz values (eigenvalues
+of a real Hessenberg matrix) are real with an imaginary part of exactly 0.0
+or come in exact conjugate pairs; a complex shift uses the complex frame,
+built on first use from the complex Schur forms T = S T_c S^H of the real T.
 
 The eigenvalues near a shift come from an unrestarted Arnoldi run on
 (G - sigma I)^{-1} (Saad, *Numerical Methods for Large Eigenvalue
@@ -29,18 +30,16 @@ test bounds the distance of a Ritz value from an eigenvalue of G only
 through its condition number, so each wanted Ritz value is then refined on
 G itself by two-sided Rayleigh quotient iteration (Parlett, Math. Comp.
 28(127), 1974), whose quotient y^T G x / y^T x is accurate to about
-eps kappa ||G||, as the dense path is.
+eps kappa ||G||, as the dense path is, and is kept only if its backward
+error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps.
 
 - :meth:`StructuredSolver.rightmost` runs it at sigma = 0 until the
-  rightmost group of Ritz values converges, certifies that group by
-  the argument principle: det(G - zI) = det(L - zI) det K(z), so the number of
+  rightmost group of Ritz values converges, certifies that group by the
+  argument principle, det(G - zI) = det(L - zI) det K(z): the number of
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
-  the winding number of det K along the line.  det K is sampled on the
-  upper half of the line only (G is real, so the lower half is its mirror
-  image), and only up to |z| = ``tail``, beyond which K provably stays
-  within 1/2 of I: the far part of the line and the closing arc are proven
-  for every ``tail``, the near part is sampled and refined heuristically.
-  Then it refines the group.
+  the winding number of det K along the line, proven beyond |z| = ``tail``
+  and sampled below it (:meth:`StructuredSolver._winding`).  Then it refines
+  the group.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
   Ritz value nearest the shift converges, and refines that value, for a
   reference that the certified eigenvalues do not decide.
@@ -49,10 +48,10 @@ eps kappa ||G||, as the dense path is.
 
 Every failure (no convergence within the step caps, ``trsyl`` near a
 singular Sylvester operator or a singular K other than at the end of a
-refinement, a count that does not certify, a refined value nearer another
-Ritz value than its own) raises :class:`Uncertified`; the caller then takes
-the dense path.  No
-nm x nm array is formed.
+refinement, a count that does not certify, a refined value with a larger
+backward error or nearer another Ritz value than its own) raises
+:class:`Uncertified`; the caller then takes the dense path.  No nm x nm
+array is formed.
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ EPS = np.finfo(float).eps
 
 # From this dimension on, a 2-D generator with separable mu takes the
 # structured path for the abscissa and the eigenpair nearest a reference.
-# The measured crossover on ex2_1, ex1_4 and velocity: at dim 196
-# (n = m = 14) dense was faster on velocity in each of three measurements,
-# from dim 225 on the structured path was faster on all three
-# (BENCH_half_line_count.json).
+# At dim 196 (n = m = 14; one BLAS thread, median of 7 alternating runs) the
+# structured abscissa is already faster on ex1_4, velocity and ex2_1 (14.6,
+# 20.7 and 14.3 ms against dense 22.1, 23.2 and 21.8 ms), but ex1_2's count
+# refuses there, as at n = 12, and the dense path then runs after it.
 STRUCTURED_MIN_DIM = 225
 
 # Singular values of the stacked boundary factor below this fraction of the
@@ -168,14 +167,12 @@ def _trsyl(
     """Y and the scale s of a Y + Y T_y = -s r, or with transpose of
     a^T Y + Y T_y^T = -s r, by LAPACK trsyl."""
     trsyl = scipy.linalg.get_lapack_funcs("trsyl", (a, ty))
-    if not transpose:
-        y, scale, info = trsyl(a, ty, -r)
-    elif np.iscomplexobj(a):
-        # the complex trsyl transposes with conjugation only
+    if transpose:
+        # the complex trsyl transposes with conjugation only ("C" is "T" for a real a)
         y, scale, info = trsyl(a, ty, -np.conj(r), trana="C", tranb="C")
         y = np.conj(y)
     else:
-        y, scale, info = trsyl(a, ty, -r, trana="T", tranb="T")
+        y, scale, info = trsyl(a, ty, -r)
     if info == 1:
         raise _Singular("trsyl perturbed the shifted Sylvester operator: it is near singular")
     if info != 0:
@@ -183,26 +180,35 @@ def _trsyl(
     return y, scale
 
 
+class _Frame:
+    """One frame of Schur coordinates: T_x, T_y, Z_x, Z_y, and U and W,
+    given on the grid, as the r arrays Z_x^H U conj(Z_y) and Z_x^T W Z_y."""
+
+    def __init__(self, tx, ty, zx, zy, u, w):
+        self.tx, self.ty, self.zx, self.zy = tx, ty, zx, zy
+        self.u = np.array([zx.conj().T @ a @ zy.conj() for a in u])
+        self.w = np.array([zx.T @ a @ zy for a in w])
+
+
 class _Shift:
-    """(G - zI)^{-1} at one shift z, in Schur coordinates: the Sylvester
-    solve with T_x + zI, (L - zI)^{-1} U and the capacitance K(z).
+    """(G - zI)^{-1} at one shift z, in the frame of z's arithmetic: the
+    Sylvester solve with T_x + zI, (L - zI)^{-1} U and the capacitance K(z).
 
     Vectors acted on by G are arrays in the coordinates of U, those acted on
     by G^T in the coordinates of W; the bilinear sum(a * b) of one of each
     is the plain dot product of the vectors they stand for."""
 
-    def __init__(self, tx: np.ndarray, ty: np.ndarray, u: np.ndarray, w: np.ndarray, z):
-        self.a = _shifted(tx, z)
-        self.ty = ty
-        self.u, self.w = u, w
-        self.zu = np.array([self.solve(uk) for uk in u])
-        self.k = np.eye(len(u)) + np.tensordot(w, self.zu, axes=([1, 2], [1, 2]))
+    def __init__(self, frame: _Frame, z):
+        self.frame = frame
+        self.a = _shifted(frame.tx, z)
+        self.zu = np.array([self.solve(uk) for uk in frame.u])
+        self.k = np.eye(len(frame.u)) + np.tensordot(frame.w, self.zu, axes=([1, 2], [1, 2]))
         if not np.isfinite(self.k).all():
             raise Uncertified(f"the capacitance at {z} is not finite")
 
     def solve(self, r: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(L - zI)^{-1} r, or with transpose (L^T - zI)^{-1} r."""
-        y, scale = _trsyl(self.a, self.ty, r, transpose)
+        y, scale = _trsyl(self.a, self.frame.ty, r, transpose)
         return y / scale
 
     @functools.cached_property
@@ -220,16 +226,16 @@ class _Shift:
     def apply(self, r: np.ndarray) -> np.ndarray:
         """(G - zI)^{-1} r, by the Woodbury formula."""
         y = self.solve(r)
-        coef = scipy.linalg.lu_solve(self.lu, np.tensordot(self.w, y, 2), check_finite=False)
+        coef = scipy.linalg.lu_solve(self.lu, np.tensordot(self.frame.w, y, 2), check_finite=False)
         return y - np.tensordot(coef, self.zu, 1)
 
     def apply_transpose(self, r: np.ndarray) -> np.ndarray:
         """(G^T - zI)^{-1} r = (L^T - zI + W U^T)^{-1} r, by the Woodbury
         formula with K(z)^T."""
-        zw = np.array([self.solve(wk, transpose=True) for wk in self.w])
+        zw = np.array([self.solve(wk, transpose=True) for wk in self.frame.w])
         y = self.solve(r, transpose=True)
         coef = scipy.linalg.lu_solve(
-            self.lu, np.tensordot(self.u, y, 2), trans=1, check_finite=False
+            self.lu, np.tensordot(self.frame.u, y, 2), trans=1, check_finite=False
         )
         return y - np.tensordot(coef, zw, 1)
 
@@ -261,49 +267,42 @@ class StructuredSolver:
         if not math.isfinite(self.norm):
             raise _overflow(generator.axes)
         try:
-            self.tx, self.qx = scipy.linalg.schur(px)
-            self.ty, self.qy = scipy.linalg.schur(py.T)
+            tx, qx = scipy.linalg.schur(px)
+            ty, qy = scipy.linalg.schur(py.T)
             c, wt = _compress(np.concatenate([alpha.reshape(n, -1), beta.reshape(m, -1)]))
         except scipy.linalg.LinAlgError as exc:
             raise Uncertified(str(exc)) from exc
         if not len(wt):
             raise Uncertified("the boundary term is 0")
-        # U and W as r arrays of shape (n, m), in Schur coordinates
-        u = np.array([np.add.outer(c[:n, k], c[n:, k]) for k in range(len(wt))])
-        self.u = self._to_schur(u)
-        self.w = self._to_schur(wt.reshape(-1, n, m))
+        # U and W on the grid, which each frame takes in
+        self.boundary = c[:n].T[:, :, None] + c[n:].T[:, None, :], wt.reshape(-1, n, m)
+        self.real = _Frame(tx, ty, qx, qy, *self.boundary)
         # ||L|| <= ||P_x|| + ||P_y||, so ||(L - zI)^{-1}|| <= 1 / (|z| - ||L||)
         # and ||K(z) - I|| <= 1/2 wherever |z| >= tail
         self.tail = float(
             np.linalg.norm(px, 2) + np.linalg.norm(py, 2)
-            + 2 * np.linalg.norm(self.u) * np.linalg.norm(self.w)
+            + 2 * np.linalg.norm(self.real.u) * np.linalg.norm(self.real.w)
         )
         # the line Re z = c of the count that certified rightmost()
         self.line = None
 
-    def _to_schur(self, arrays: np.ndarray) -> np.ndarray:
-        return np.array([self.qx.T @ a @ self.qy for a in arrays])
-
-    def _coordinates(self, z: complex) -> tuple:
-        """T_x, T_y, U and W in the Schur coordinates for the shift z, and
-        z: the real ones, and z as a float, on the real axis."""
-        if z.imag == 0:
-            return self.tx, self.ty, self.u, self.w, z.real
-        return (*self._complex_schur[:4], z)
-
-    def _shift(self, z) -> _Shift:
-        return _Shift(*self._coordinates(z))
-
     @functools.cached_property
     @_quiet
-    def _complex_schur(self) -> tuple[np.ndarray, ...]:
-        """T_x, T_y, U and W in complex Schur coordinates, and the unitary
-        S_x and S_y: the real Schur forms are T = S T_c S^H."""
-        tx, sx = scipy.linalg.rsf2csf(self.tx, np.eye(len(self.tx)))
-        ty, sy = scipy.linalg.rsf2csf(self.ty, np.eye(len(self.ty)))
-        u = np.array([sx.conj().T @ a @ sy for a in self.u])
-        w = np.array([sx.T @ a @ sy.conj() for a in self.w])
-        return tx, ty, u, w, sx, sy
+    def complex(self) -> _Frame:
+        """The complex frame, from the complex Schur forms T = S T_c S^H of
+        the real T: Z_x = Q_x S_x and Z_y = Q_y conj(S_y)."""
+        tx, sx = scipy.linalg.schur(self.real.tx, output="complex")
+        ty, sy = scipy.linalg.schur(self.real.ty, output="complex")
+        return _Frame(tx, ty, self.real.zx @ sx, self.real.zy @ sy.conj(), *self.boundary)
+
+    def _frame(self, z: complex) -> tuple:
+        """The frame of z's arithmetic, and z in it: a float on the real axis."""
+        if z.imag == 0:
+            return self.real, z.real
+        return self.complex, z
+
+    def _shift(self, z: complex) -> _Shift:
+        return _Shift(*self._frame(z))
 
     @_quiet
     def _ritz(self, sigma: float, wanted=_group) -> np.ndarray:
@@ -352,11 +351,12 @@ class StructuredSolver:
         G - zI and G^T - zI from fixed-seed starts, and the next shift is
         y^T G x / y^T x, with G x = L x + U W^T x formed directly.  A real
         value stays real.  Raises :class:`Uncertified` when the iteration
-        does not settle within POLISH_STEPS steps, or when the result lies
-        nearer another Ritz value than lam[i]."""
-        tx, ty, u, w, z = self._coordinates(complex(lam[i]))
+        does not settle within POLISH_STEPS steps, when the last step's
+        backward error ||G x - z x|| / ||G||inf exceeds 64 eps, or when the
+        result lies nearer another Ritz value than lam[i]."""
+        frame, z = self._frame(complex(lam[i]))
         x, y = np.random.default_rng(0).standard_normal((2, *self.shape))
-        step = math.inf
+        step, backward = math.inf, 0.0
         for _ in range(POLISH_STEPS):
             try:
                 shift = self._shift(complex(z))
@@ -368,16 +368,19 @@ class StructuredSolver:
                 break
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)
-            gx = np.tensordot(np.tensordot(w, x, 2), u, 1) - tx @ x - x @ ty
+            gx = np.tensordot(np.tensordot(frame.w, x, 2), frame.u, 1) - frame.tx @ x - x @ frame.ty
             rho = np.sum(y * gx) / np.sum(y * x)
             if not np.isfinite(rho):
                 raise Uncertified(f"the Rayleigh quotient near {lam[i]} is not finite")
             previous, step = step, abs(rho - z)
             z = rho if np.iscomplexobj(z) else rho.real
+            backward = np.linalg.norm(gx - z * x) / self.norm
             if step <= SETTLE_ULPS * EPS * abs(z) or step >= previous:
                 break
         else:
             raise Uncertified(f"no convergence near {lam[i]} in {POLISH_STEPS} steps")
+        if backward > 64 * EPS:
+            raise Uncertified(f"{lam[i]} refines to {z}, at a backward error of {backward:.1e}")
         distance = np.abs(lam - z)
         if np.count_nonzero(distance <= distance[i]) > 1:
             raise Uncertified(f"{lam[i]} refines to {z}, nearer another Ritz value")
@@ -419,17 +422,17 @@ class StructuredSolver:
     def count_right(self, c: float) -> int:
         """N_L(c) + wind(c): the number of eigenvalues of G right of
         Re z = c, by the argument principle on det K along the line."""
-        tx, ty = self._complex_schur[:2]
-        n_l = np.count_nonzero(np.add.outer(-tx.diagonal().real, -ty.diagonal().real) > c)
+        tx, ty = self.complex.tx.diagonal().real, self.complex.ty.diagonal().real
+        n_l = np.count_nonzero(np.add.outer(-tx, -ty) > c)
         return int(n_l) + self._winding(c)
 
     def _det_k(self, z: complex) -> complex:
         """det K(z); at r = 1, K(z) itself, from one trsyl solve."""
-        if len(self.u) > 1:
+        if len(self.real.u) > 1:
             return complex(np.linalg.det(self._shift(z).k))
-        tx, ty, u, w, z = self._coordinates(z)
-        y, scale = _trsyl(_shifted(tx, z), ty, u[0])
-        return complex(1.0 + np.dot(w[0].ravel(), y.ravel()) / scale)
+        frame, z = self._frame(z)
+        y, scale = _trsyl(_shifted(frame.tx, z), frame.ty, frame.u[0])
+        return complex(1.0 + np.dot(frame.w[0].ravel(), y.ravel()) / scale)
 
     def _winding(self, c: float) -> int:
         """The winding number of det K(c + i omega) as omega runs down the
@@ -502,11 +505,7 @@ class StructuredSolver:
         shift = self._shift(complex(lam))
         # the right null vector of K(lam)
         k = np.conj(scipy.linalg.svd(shift.k)[2][-1])
-        y = np.tensordot(k, shift.zu, 1)
-        if lam.imag != 0:
-            sx, sy = self._complex_schur[4:]
-            y = sx @ y @ sy.conj().T
-        x = (self.qx @ y @ self.qy.T).ravel()
+        x = (shift.frame.zx @ np.tensordot(k, shift.zu, 1) @ shift.frame.zy.T).ravel()
         if not (np.isfinite(x).all() and x.any()):
             raise Uncertified(f"no eigenvector of {lam} from K")
         return _canonicalize(x)

@@ -95,7 +95,7 @@ def test_closing_rule_at_rank_above_one():
     report = compute_spectrum(gen, k=1)
     assert report.path == "structured"
     solver = report.solver
-    assert len(solver.u) > 1
+    assert len(solver.real.u) > 1
     values = _dense_report(gen).eigenvalues
     assert _close(report.abscissa, values[0].real)
     for got, want in zip(report.eigenvalues, values, strict=False):
@@ -266,7 +266,7 @@ def test_reference_at_an_eigenvalue_of_the_kronecker_sum(monkeypatch):
     with monkeypatch.context() as patch:
         _forbid_dense(patch)
         lam = solver.nearest(-20.0)
-    tx, ty = solver._complex_schur[:2]
+    tx, ty = solver.complex.tx, solver.complex.ty
     kronecker_sum = np.add.outer(-tx.diagonal(), -ty.diagonal())
     assert np.min(np.abs(kronecker_sum - lam)) <= 1e-12 * abs(lam)
 
@@ -285,6 +285,41 @@ def test_refinement_that_lands_nearer_another_ritz_value_raises():
     # a value 1e-3 right of the rightmost eigenvalue refines onto it
     with pytest.raises(structured.Uncertified):
         solver._polish(np.array([top, top + 1e-3]), 1)
+
+
+@pytest.mark.parametrize("c", [-5.944, -6.444])
+def test_refinement_returns_an_eigenvalue_or_raises(c):
+    # starts c + i omega near the steepest phase of det K on Re z = -6.444
+    # (ex2_1, n = 32); Rayleigh quotient iteration from some of them stops
+    # on a step no shorter than the one before, far from any eigenvalue,
+    # where the backward error ||G x - z x|| / ||G||inf is about 1e-3
+    gen = assemble(builtin("ex2_1")[0], 32)
+    solver = structured.StructuredSolver(gen)
+    values = _dense_report(gen).eigenvalues
+    raised = []
+    for omega in (7.5, 13.9, 20.2, 26.55, 32.85, 39.15):
+        try:
+            z = solver._polish(np.array([complex(c, omega)]), 0)
+        except structured.Uncertified as exc:
+            assert "backward error" in str(exc)
+            raised.append(omega)
+            continue
+        assert _close(z, values[np.argmin(np.abs(values - z))]), (omega, z)
+    assert 7.5 in raised
+
+
+def test_count_refuses_ritz_values_that_miss_an_eigenvalue():
+    # ex1_2 at n = 12: the Arnoldi run at 0 stops at -1 and -21.90 +- 39.08i,
+    # but -9.962 +- 28.570i lie right of the line halfway between them
+    gen = assemble(builtin("ex1_2")[0], 12)
+    solver = structured.StructuredSolver(gen)
+    ritz = solver._ritz(0.0)
+    c = 0.5 * (ritz[0].real + ritz[1].real)
+    assert abs(c + 11.4477) <= 1e-4
+    with pytest.raises(structured.Uncertified):
+        solver.rightmost()
+    values = _dense_report(gen).eigenvalues
+    assert solver.count_right(c) == np.count_nonzero(values.real > c) == 3
 
 
 def test_refined_conjugate_pair_is_exact():
@@ -427,7 +462,7 @@ def test_arnoldi_run_stops_once_the_rightmost_group_settles(monkeypatch, n):
     monkeypatch.setattr(structured._Shift, "solve", spy)
     solver._ritz(0.0)
     # r solves build (L - sigma I)^{-1} U, each later one is an application
-    assert len(solves) - len(solver.u) <= 30
+    assert len(solves) - len(solver.real.u) <= 30
 
 
 def test_arnoldi_step_cap_falls_back_to_dense(monkeypatch):
