@@ -14,7 +14,11 @@ T_x, T_y and unitary Z_x, Z_y with P_x Z_x = Z_x T_x and P_y Z_y = Z_y T_y^T.
 X = Z_x Y Z_y^T turns (L - zI) X = R into the Sylvester equation
 (T_x + zI) Y + Y T_y = -Z_x^H R conj(Z_y), solved by LAPACK ``trsyl``, and
 (G - zI)^{-1} follows by the Woodbury formula with the r x r capacitance
-K(z) = I + W^T (L - zI)^{-1} U, factored once per shift.  A real shift uses
+K(z) = I + W^T (L - zI)^{-1} U, factored once per shift.  The count needs K
+alone, at many shifts: :func:`_sylvester` solves for a whole batch of them
+at once in the complex frame, recursively blocked (Jonsson & Kagstrom, ACM
+TOMS 28(4), 2002), so that most of its work is matrix products over the
+batch where ``trsyl`` works one element of Y at a time.  A real shift uses
 the real frame, from the real Schur forms, so the Ritz values (eigenvalues
 of a real Hessenberg matrix) are real with an imaginary part of exactly 0.0
 or come in exact conjugate pairs; a complex shift uses the complex frame,
@@ -38,25 +42,24 @@ error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps.
   argument principle, det(G - zI) = det(L - zI) det K(z): the number of
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
   the winding number of det K along the line, proven beyond |z| = ``tail``
-  and sampled below it (:meth:`StructuredSolver._winding`).  Then it refines
-  the group.
+  and sampled below it in batches (:meth:`StructuredSolver._winding`).
+  Then it refines the group.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
   Ritz value nearest the shift converges, and refines that value, for a
   reference that the certified eigenvalues do not decide.
 - :meth:`StructuredSolver.eigenvector` returns (L - lam I)^{-1} U k, with k
   the null vector of K(lam).
 
-Every failure (no convergence within the step caps, ``trsyl`` near a
-singular Sylvester operator or a singular K other than at the end of a
-refinement, a count that does not certify, a refined value with a larger
-backward error or nearer another Ritz value than its own) raises
+Every failure (no convergence within the step caps, a Sylvester operator
+that ``trsyl``'s test finds near singular or a singular K other than at the
+end of a refinement, a count that does not certify, a refined value with a
+larger backward error or nearer another Ritz value than its own) raises
 :class:`Uncertified`; the caller then takes the dense path.  No nm x nm
 array is formed.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -104,6 +107,22 @@ NORM_CHUNK = 64
 COUNT_SPACING = math.asinh(1e6) / 200
 PHASE_STEP = 0.5
 MAX_EVALUATIONS = 4000
+# The count evaluates K in batches: one recursively blocked Sylvester solve
+# takes at most COUNT_BATCH right-hand sides (shifts times r), so it holds
+# that many complex n x m arrays, and splits T_x and T_y until a block has at
+# most SYLVESTER_LEAF rows and columns.  One count on ex2_1 (96, 125 and 152
+# samples at n = 16, 48 and 128), median of 7 (3 at n = 128) in one process,
+# one BLAS thread, with its traced peak at n = 48:
+#
+#   COUNT_BATCH      32       64       96      128
+#   n = 16       2.8 ms   2.3 ms   1.5 ms   1.6 ms
+#   n = 48        29 ms    23 ms    23 ms    21 ms
+#     peak        2.3 MB   4.6 MB   4.6 MB   6.9 MB
+#   n = 128      356 ms   284 ms   235 ms   241 ms
+#
+# At 128 the batch at n = 48 would hold more than assembling G takes (6.4 MB).
+COUNT_BATCH = 96
+SYLVESTER_LEAF = 12
 # Ritz values whose real parts lie within this fraction of max(1, |re|) of
 # the rightmost one count as its group.
 GROUP_RTOL = 1e-8
@@ -178,6 +197,66 @@ def _trsyl(
     if info != 0:
         raise Uncertified(f"trsyl returned info {info}")
     return y, scale
+
+
+@functools.lru_cache(maxsize=32)
+def _wavefronts(p: int, q: int) -> tuple:
+    """The entries of a p x q block in wavefront order, with the bounds of
+    each wavefront and the couplings of each entry to earlier ones.
+
+    With T_x and T_y upper triangular, entry (i, j) of Y depends on the
+    entries below it in its column and left of it in its row, which lie on
+    earlier anti-diagonals d = p - 1 - i + j; the entries of one
+    anti-diagonal are independent.  The couplings, for T_x and then for T_y,
+    are the index arrays (entry, earlier entry) and (row, column) of T."""
+    i, j = np.divmod(np.arange(p * q), q)
+    level = p - 1 - i + j
+    order = np.argsort(level, kind="stable")
+    i, j = i[order], j[order]
+    bounds = np.searchsorted(level[order], np.arange(p + q)).tolist()
+    e, f = np.nonzero((j[:, None] == j) & (i > i[:, None]))
+    g, h = np.nonzero((i[:, None] == i) & (j < j[:, None]))
+    return i, j, list(zip(bounds, bounds[1:])), ((e, f), (i[e], i[f])), ((g, h), (j[h], j[g]))
+
+
+def _sylvester(
+    tx: np.ndarray, ty: np.ndarray, z: np.ndarray, c: np.ndarray, floor: np.ndarray
+) -> None:
+    """Overwrite c, (n, m, B), with the Y_b that solve
+    (T_x + z_b I) Y_b + Y_b T_y = c_b for upper triangular T_x and T_y.
+
+    Bartels-Stewart for a whole batch at once, recursively blocked (Jonsson
+    & Kagstrom, ACM TOMS 28(4), 2002): the larger of T_x and T_y is split in
+    two, the half of Y that the other half depends on is solved first, and
+    the coupling, which does not depend on the shift, is one product over
+    the whole batch.  Blocks of at most SYLVESTER_LEAF rows and columns are
+    solved by wavefronts (:func:`_wavefronts`).  Raises :class:`_Singular`
+    where LAPACK trsyl reports a near singular operator: some
+    |Re d| + |Im d|, d = t_x,ii + t_y,jj + z_b, is at most floor[b]."""
+    n, m = c.shape[:2]
+    if n > SYLVESTER_LEAF and n >= m:
+        h = n // 2
+        _sylvester(tx[h:, h:], ty, z, c[h:], floor)
+        c[:h] -= np.tensordot(tx[:h, h:], c[h:], 1)
+        _sylvester(tx[:h, :h], ty, z, c[:h], floor)
+    elif m > SYLVESTER_LEAF:
+        h = m // 2
+        _sylvester(tx, ty[:h, :h], z, c[:, :h], floor)
+        c[:, h:] -= np.matmul(ty[:h, h:].T, c[:, :h])
+        _sylvester(tx, ty[h:, h:], z, c[:, h:], floor)
+    else:
+        i, j, fronts, by_x, by_y = _wavefronts(n, m)
+        couple = np.zeros((n * m, n * m), tx.dtype)
+        for t, (entries, at) in ((tx, by_x), (ty, by_y)):
+            couple[entries] = t[at]
+        d = (tx.diagonal()[i] + ty.diagonal()[j])[:, None] + z
+        if (np.abs(d.real) + np.abs(d.imag) <= floor).any():
+            raise _Singular("the shifted Sylvester operator is near singular")
+        y = c[i, j]
+        for start, stop in fronts:
+            y[start:stop] -= couple[start:stop, :start] @ y[:start]
+            y[start:stop] /= d[start:stop]
+        c[i, j] = y
 
 
 class _Frame:
@@ -426,13 +505,27 @@ class StructuredSolver:
         n_l = np.count_nonzero(np.add.outer(-tx, -ty) > c)
         return int(n_l) + self._winding(c)
 
-    def _det_k(self, z: complex) -> complex:
-        """det K(z); at r = 1, K(z) itself, from one trsyl solve."""
-        if len(self.real.u) > 1:
-            return complex(np.linalg.det(self._shift(z).k))
-        frame, z = self._frame(z)
-        y, scale = _trsyl(_shifted(frame.tx, z), frame.ty, frame.u[0])
-        return complex(1.0 + np.dot(frame.w[0].ravel(), y.ravel()) / scale)
+    def _capacitances(self, shifts: np.ndarray) -> np.ndarray:
+        """K(z) at each of the complex shifts, as an (S, r, r) array, from
+        batched Sylvester solves in the complex frame: as few batches of
+        equal size as COUNT_BATCH right-hand sides per batch allow."""
+        frame = self.complex
+        tx, ty, u = frame.tx, frame.ty, frame.u
+        (n, m), r = self.shape, len(u)
+        # LAPACK trsyl's threshold for a near singular operator, from the
+        # safe minimum and the largest entries of T_x + zI and T_y
+        small = np.finfo(float).tiny * n * m / EPS
+        top = max(np.abs(np.triu(tx, 1)).max(), np.abs(ty).max())
+        k = []
+        per = max(1, COUNT_BATCH // r)
+        for z in np.array_split(shifts, math.ceil(len(shifts) / per)):
+            diagonal = np.abs(tx.diagonal()[:, None] + z).max(axis=0)
+            floor = np.maximum(EPS * np.maximum(top, diagonal), small)
+            y = np.empty((n, m, len(z), r), complex)
+            y[...] = -np.moveaxis(u, 0, -1)[:, :, None, :]
+            _sylvester(tx, ty, np.repeat(z, r), y.reshape(n, m, -1), np.repeat(floor, r))
+            k.append(np.tensordot(frame.w, y, ([1, 2], [0, 1])).transpose(1, 0, 2))
+        return np.concatenate(k) + np.eye(r)
 
     def _winding(self, c: float) -> int:
         """The winding number of det K(c + i omega) as omega runs down the
@@ -451,39 +544,46 @@ class StructuredSolver:
         refined to at most PHASE_STEP rad.  A ``tail`` that is not finite,
         or whose grid alone needs more than MAX_EVALUATIONS evaluations,
         raises :class:`Uncertified` before any sampling.
+
+        K comes from batched solves (:meth:`_capacitances`): the whole grid
+        in one batch, then one batch per level of refinement, which halves
+        every interval whose phase step exceeds PHASE_STEP at once.
         """
         if not math.isfinite(self.tail):
             raise Uncertified(f"the count's tail {self.tail} is not finite")
         # the grid a step past the tail, cut after its first point at or above it
         omegas = np.sinh(COUNT_SPACING * np.arange(math.asinh(self.tail) / COUNT_SPACING + 2))
-        omegas = list(omegas[np.count_nonzero(omegas < self.tail) :: -1])
+        omegas = omegas[np.count_nonzero(omegas < self.tail) :: -1]
         # each sample off the real axis stands for its mirror image too
         evaluations = 2 * len(omegas) - 1
         if evaluations > MAX_EVALUATIONS:
             raise Uncertified(f"the count's grid up to {self.tail:g} is too long")
-        # K at the top sample, for the closing arc
-        k = self._shift(complex(c, omegas[0])).k
-        closing = float(np.angle(np.linalg.eigvals(k)).sum())
-        values = [complex(np.linalg.det(k))]
-        values += [self._det_k(complex(c, w)) for w in omegas[1:]]
-        if not all(d != 0 and cmath.isfinite(d) for d in values):
+        k = self._capacitances(c + 1j * omegas)
+        values = np.linalg.det(k)
+        if not (values.all() and np.isfinite(values).all()):
             raise Uncertified(f"det K is 0 or not finite on Re z = {c}")
-        # the phase steps between the samples, each at most PHASE_STEP;
-        # the stack holds the intervals still to walk, the next one last
+        # K at the top sample, for the closing arc
+        closing = float(np.angle(np.linalg.eigvals(k[0])).sum())
+        # the phase steps between neighbouring samples, each at most
+        # PHASE_STEP: the intervals with a longer step are halved, all of a
+        # level in one batch
         half = 0.0
-        stack = list(zip(omegas[-2::-1], values[-2::-1], omegas[:0:-1], values[:0:-1]))
-        while stack:
-            w0, d0, w1, d1 = stack.pop()
-            step = cmath.phase(d1 / d0)
-            if abs(step) <= PHASE_STEP:
-                half += step
-                continue
-            wm = 0.5 * (w0 + w1)
-            dm = self._det_k(complex(c, wm))
-            evaluations += 2
-            if evaluations > MAX_EVALUATIONS or not (dm != 0 and cmath.isfinite(dm)):
+        w0, d0, w1, d1 = omegas[:-1], values[:-1], omegas[1:], values[1:]
+        while True:
+            step = np.angle(d1 / d0)
+            fine = np.abs(step) <= PHASE_STEP
+            half += float(step[fine].sum())
+            w0, d0, w1, d1 = (a[~fine] for a in (w0, d0, w1, d1))
+            if not len(w0):
+                break
+            evaluations += 2 * len(w0)
+            if evaluations > MAX_EVALUATIONS:
                 raise Uncertified(f"the phase of det K on Re z = {c} is not resolved")
-            stack += [(wm, dm, w1, d1), (w0, d0, wm, dm)]
+            wm = 0.5 * (w0 + w1)
+            dm = np.linalg.det(self._capacitances(c + 1j * wm))
+            if not (dm.all() and np.isfinite(dm).all()):
+                raise Uncertified(f"the phase of det K on Re z = {c} is not resolved")
+            w0, d0, w1, d1 = np.r_[w0, wm], np.r_[d0, dm], np.r_[wm, w1], np.r_[dm, d1]
         return round((half + closing) / math.pi)
 
     @_quiet

@@ -48,9 +48,12 @@ def test_structured_path_agrees_with_dense(name, n):
         assert _close(got, want)
         if want.imag == 0:
             assert got.imag == 0.0 and not np.signbit(got.imag)
-    # the certifying count, and counts on two more lines, equal the dense ones
-    real_parts = np.unique(values.real.round(9))[::-1]
-    for c in (solver.line, 0.0, 0.5 * (real_parts[1] + real_parts[2])):
+    # the certifying count, and the counts on Re z = 0 and on lines through
+    # the gaps between the first 8 distinct real parts (all 7 at n = 24, the
+    # one between the 2nd and 3rd above), equal the dense ones
+    real_parts = np.unique(values.real.round(9))[::-1][:8]
+    gaps = 0.5 * (real_parts[:-1] + real_parts[1:])
+    for c in (solver.line, 0.0, *(gaps if n == 24 else gaps[1:2])):
         assert solver.count_right(c) == np.count_nonzero(values.real > c), c
     assert np.count_nonzero(values.real > solver.line) == len(report.eigenvalues)
     # the eigenvalue nearest the reference and its eigenvector
@@ -100,13 +103,14 @@ def test_closing_rule_at_rank_above_one():
     assert _close(report.abscissa, values[0].real)
     for got, want in zip(report.eigenvalues, values, strict=False):
         assert _close(got, want)
-    # Re z = 0 and the lines between the 1st/2nd, 2nd/3rd and 4th/5th
+    # Re z = 0 and the 7 lines through the gaps between the first 8
     # distinct real parts
-    real_parts = np.unique(values.real.round(9))[::-1]
-    lines = [0.0] + [0.5 * (real_parts[i] + real_parts[i + 1]) for i in (0, 1, 3)]
+    real_parts = np.unique(values.real.round(9))[::-1][:8]
+    lines = [0.0, *(0.5 * (real_parts[:-1] + real_parts[1:]))]
     counts = [solver.count_right(c) for c in lines]
     assert counts == [np.count_nonzero(values.real > c) for c in lines]
-    assert counts == [0, 1, 3, 7]
+    # Re z = 0 and the lines between the 1st/2nd, 2nd/3rd and 4th/5th
+    assert [counts[i] for i in (0, 1, 2, 4)] == [0, 1, 3, 7]
 
 
 def _spy(monkeypatch, name):
@@ -126,17 +130,19 @@ def _spy(monkeypatch, name):
 def test_count_evaluates_the_upper_half_line_only(monkeypatch, text):
     model = builtin("ex2_1")[0] if text is None else load_model(text)
     solver = structured.StructuredSolver(assemble(model, N_MIN))
-    # every det K evaluation but the top sample's, whose K _winding builds
-    # itself
-    shifts = _spy(monkeypatch, "_det_k")
+    # every evaluation of K: the grid in one batch, then one batch per level
+    # of refinement
+    batches = _spy(monkeypatch, "_capacitances")
     for c in (0.0, -1.5, -6.0):
-        shifts.clear()
+        batches.clear()
         solver.count_right(c)
-        omegas = [z.imag for (z,) in shifts]
-        assert all(z.real == c for (z,) in shifts)
+        shifts = np.concatenate([z for (z,) in batches])
+        omegas = shifts.imag.tolist()
+        assert all(z.real == c for z in shifts)
         assert min(omegas) == 0.0
         # the grid, walked down to omega = 0, then midpoints of earlier samples
         grid = omegas.index(0.0) + 1
+        assert grid == len(batches[0][0])
         assert grid <= 201
         assert omegas[:grid] == sorted(omegas[:grid], reverse=True)
         seen = omegas[:grid]
@@ -154,11 +160,11 @@ def test_count_refuses_a_tail_it_cannot_sample(monkeypatch, tail):
     solver = structured.StructuredSolver(gen)
     solver.tail = tail
     with monkeypatch.context() as patch:
-        dets, shifts = _spy(patch, "_det_k"), _spy(patch, "_shift")
+        batches, shifts = _spy(patch, "_capacitances"), _spy(patch, "_shift")
         with pytest.raises(structured.Uncertified):
             solver.count_right(-1.5)
         # raised before any sampling
-        assert dets == shifts == []
+        assert batches == shifts == []
     init = structured.StructuredSolver.__init__
 
     def init_with_tail(self, generator):
@@ -193,16 +199,88 @@ def test_count_with_a_tail_beyond_1e6():
         assert solver.count_right(c) == np.count_nonzero(values.real > c), c
 
 
+@pytest.mark.parametrize(
+    "text, n", [(None, 16), (None, 48), (NONPRODUCT, 24)], ids=["ex2_1-16", "ex2_1-48", "nonproduct"]
+)
+def test_batched_capacitances_match_trsyl(text, n):
+    # det K from the batched Sylvester solve against one trsyl solve per
+    # shift and column of U, in the same complex frame
+    model = builtin("ex2_1")[0] if text is None else load_model(text)
+    solver = structured.StructuredSolver(assemble(model, n))
+    per = max(1, structured.COUNT_BATCH // len(solver.real.u))
+    # from the real axis up: more shifts than one batch holds, not a
+    # multiple of it, and one shift
+    shifts = -1.5 + 1j * np.r_[0.0, np.sinh(np.linspace(-4.0, 8.0, per + per // 2))]
+    assert len(shifts) % per
+    for batch in (shifts, shifts[3:4]):
+        got = np.linalg.det(solver._capacitances(batch))
+        want = [np.linalg.det(structured._Shift(solver.complex, z).k) for z in batch]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_batched_sylvester_solve_on_rectangular_blocks():
+    # n != m: both splits, and leaves of several shapes
+    rng = np.random.default_rng(7)
+    n, m, z = 29, 13, np.array([0.5 + 1j, 2.0, 3j])
+    tx, ty = (
+        np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) + 4 * np.eye(k)
+        for k in (n, m)
+    )
+    c = rng.standard_normal((n, m, len(z))) + 1j * rng.standard_normal((n, m, len(z)))
+    y = c.copy()
+    structured._sylvester(tx, ty, z, y, np.zeros(len(z)))
+    for b in range(len(z)):
+        want, scale = structured._trsyl(structured._shifted(tx, z[b]), ty, -c[:, :, b])
+        assert scale == 1.0
+        assert np.max(np.abs(y[:, :, b] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_batched_solve_is_singular_where_trsyl_is():
+    solver = structured.StructuredSolver(assemble(builtin("ex2_1")[0], 16))
+    frame = solver.complex
+    # t_x,00 + t_y,00 + z = 0: the shifted Sylvester operator is singular
+    pole = -(frame.tx[0, 0] + frame.ty[0, 0])
+    with pytest.raises(structured._Singular):
+        structured._trsyl(structured._shifted(frame.tx, pole), frame.ty, frame.u[0])
+    for batch in ([pole], [-1.5 + 2j, pole, -1.5 + 3j]):
+        with pytest.raises(structured._Singular):
+            solver._capacitances(np.array(batch))
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_count_memory_stays_below_assembly(n):
+    # the count's batches of Sylvester solves hold at most COUNT_BATCH
+    # n x m arrays: less than assembling the generator takes
+    model, _ = builtin("ex2_1")
+    assemble(model, n)  # warm up the axis cache
+    tracemalloc.start()
+    try:
+        gen = assemble(model, n)
+        assembly_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    solver = structured.StructuredSolver(gen)
+    tracemalloc.start()
+    try:
+        count = solver.count_right(-3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < assembly_peak
+
+
 def test_sweep_runs_arnoldi_once_per_degree(monkeypatch):
     model, _ = builtin("ex2_1")
     ritz = _spy(monkeypatch, "_ritz")
     shifts = _spy(monkeypatch, "_shift")
-    dets = _spy(monkeypatch, "_det_k")
+    batches = _spy(monkeypatch, "_capacitances")
     degrees = [24, 32, 40, 48]
     records = convergence_sweep(model, degrees)
     assert all(record.error is None for record in records)
     assert ritz == [(0.0,)] * len(degrees)
-    assert all(z.imag >= 0 for (z,) in shifts + dets)
+    samples = [z for (z,) in shifts] + [z for (zs,) in batches for z in zs]
+    assert all(z.imag >= 0 for z in samples)
     # the certified eigenvalue is the match: lambda_re is the abscissa
     assert all(record.lam.real == record.abscissa for record in records)
 
