@@ -14,15 +14,18 @@ T_x, T_y and unitary Z_x, Z_y with P_x Z_x = Z_x T_x and P_y Z_y = Z_y T_y^T.
 X = Z_x Y Z_y^T turns (L - zI) X = R into the Sylvester equation
 (T_x + zI) Y + Y T_y = -Z_x^H R conj(Z_y), solved by LAPACK ``trsyl``, and
 (G - zI)^{-1} follows by the Woodbury formula with the r x r capacitance
-K(z) = I + W^T (L - zI)^{-1} U, factored once per shift.  The count needs K
-alone, at many shifts: :func:`_sylvester` solves for a whole batch of them
-at once in the complex frame, recursively blocked (Jonsson & Kagstrom, ACM
-TOMS 28(4), 2002), so that most of its work is matrix products over the
-batch where ``trsyl`` works one element of Y at a time.  A real shift uses
+K(z) = I + W^T (L - zI)^{-1} U, factored once per shift.  A shift looks up
+its LAPACK routines once, and U, W and (L - zI)^{-1} U enter the formula as
+flat r x nm matrices.  The count needs K alone, at many shifts:
+:func:`_sylvester` solves for a whole batch of them at once in the complex
+frame, recursively blocked (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), so
+that most of its work is matrix products over the batch where ``trsyl``
+works one element of Y at a time.  A real shift uses
 the real frame, from the real Schur forms, so the Ritz values (eigenvalues
 of a real Hessenberg matrix) are real with an imaginary part of exactly 0.0
 or come in exact conjugate pairs; a complex shift uses the complex frame,
-built on first use from the complex Schur forms T = S T_c S^H of the real T.
+built on first use from the complex Schur forms T = S T_c S^H of the real T,
+S a rotation of each 2 x 2 diagonal block (:func:`_complex_schur`).
 
 The eigenvalues near a shift come from an unrestarted Arnoldi run on
 (G - sigma I)^{-1} (Saad, *Numerical Methods for Large Eigenvalue
@@ -43,7 +46,11 @@ error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps.
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
   the winding number of det K along the line, proven beyond |z| = ``tail``
   and sampled below it in batches (:meth:`StructuredSolver._winding`).
-  Then it refines the group.
+  The line lies halfway to the next Ritz value; a count above the group's
+  size there means the run stopped before it found every eigenvalue right
+  of that line, and the line moves halfway toward the group, at most
+  LINE_RETRIES times.  Only a count equal to the group's size certifies.
+  Then it refines the group, whose values must stay right of the line.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
   Ritz value nearest the shift converges, and refines that value, for a
   reference that the certified eigenvalues do not decide.
@@ -55,14 +62,17 @@ that ``trsyl``'s test finds near singular or a singular K other than at the
 end of a refinement, a count that does not certify, a refined value with a
 larger backward error or nearer another Ritz value than its own) raises
 :class:`Uncertified`; the caller then takes the dense path.  No nm x nm
-array is formed.
+array is formed.  LAPACK is called through scipy alone, as on the dense
+path, and the complex frame and the count's closing arc take no complex
+Schur or eigenvalue routine: numpy.linalg would load the pages of numpy's
+own copy of OpenBLAS, and such a routine pages of its own, 0.2-1 MB of
+resident memory each in a process that also runs the dense path.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -74,11 +84,31 @@ EPS = np.finfo(float).eps
 
 # From this dimension on, a 2-D generator with separable mu takes the
 # structured path for the abscissa and the eigenpair nearest a reference.
-# At dim 196 (n = m = 14; one BLAS thread, median of 7 alternating runs) the
-# structured abscissa is already faster on ex1_4, velocity and ex2_1 (14.6,
-# 20.7 and 14.3 ms against dense 22.1, 23.2 and 21.8 ms), but ex1_2's count
-# refuses there, as at n = 12, and the dense path then runs after it.
-STRUCTURED_MIN_DIM = 225
+# compute_spectrum(k=1), structured time over dense time at n = m (one BLAS
+# thread, medians of 11 alternating runs in one process; scan is perfbench's
+# 2-D family, ex1_4 with mu = 2x + 1 + h):
+#
+#   n =            10    11    12    13    14    15
+#   ex1_1        0.99  0.71  0.62  0.41  0.34  0.28
+#   ex1_2        0.72  0.84  0.91  0.46  0.64  0.26
+#   ex1_3        1.08  0.80  0.67  0.48  0.36  0.39
+#   ex1_4        1.12  0.93  0.64  0.45  0.35  0.34
+#   ex2_1        0.97  0.62  0.57  0.42  0.32  0.29
+#   ex2_2        0.97  0.73  0.57  0.42  0.34  0.26
+#   ex2_3        1.03  0.77  0.65  0.51  0.32  0.26
+#   ex2_4        0.96  0.81  0.56  0.42  0.31  0.29
+#   velocity     1.84  1.25  0.99  0.67  0.55  0.48
+#   scan h = -1  1.04  0.82  0.59  0.42  0.32  0.30
+#   scan h = -3  1.01  0.89  0.59  0.45  0.35  0.30
+#
+# From n = 11 on every model but velocity is faster structured (ex1_2 at 12
+# and 14 counts twice, see LINE_RETRIES); at n = 10 dense is about as fast
+# or faster on most.  velocity crosses over at n = 12: in two runs of 41
+# alternating pairs there it took 1.06 and 0.97 of the dense time (faster
+# in 19 and 34 of 41), because its Arnoldi run takes 27 steps, against 9-17
+# on the others, and the Hessenberg eigensolve at every step is about half
+# of it.
+STRUCTURED_MIN_DIM = 144
 
 # Singular values of the stacked boundary factor below this fraction of the
 # largest are dropped.
@@ -126,6 +156,12 @@ SYLVESTER_LEAF = 12
 # Ritz values whose real parts lie within this fraction of max(1, |re|) of
 # the rightmost one count as its group.
 GROUP_RTOL = 1e-8
+# A count above the group's size on the line halfway to the next Ritz value
+# means the Arnoldi run stopped before it found some eigenvalues right of
+# that line (ex1_2 at n = 12, 13, 14, 44 and 57); the line moves halfway
+# toward the group at most this many times.  One move certifies each of
+# those.
+LINE_RETRIES = 2
 
 
 class Uncertified(ArithmeticError):
@@ -158,7 +194,12 @@ def _compress(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if samples >= rows:
             q = np.eye(rows)
         else:
-            q = np.linalg.qr(stacked @ rng.standard_normal((cols, samples)))[0]
+            q = scipy.linalg.qr(
+                stacked @ rng.standard_normal((cols, samples)), mode="economic", check_finite=False
+            )[0]
+            # in C order: numpy takes a Fortran-order q through other BLAS
+            # calls in the products below, which round differently
+            q = np.ascontiguousarray(q)
         u, s, wt = scipy.linalg.svd(q.T @ stacked, full_matrices=False)
         r = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
         if r < samples or samples >= rows:
@@ -173,6 +214,41 @@ def _group(lam: np.ndarray) -> slice:
     return slice(0, int(np.count_nonzero(lam.real >= top - GROUP_RTOL * max(1.0, abs(top)))))
 
 
+def _argument_sum(k: np.ndarray) -> float:
+    """The sum of the principal arguments of the eigenvalues of the r x r
+    matrix k, all within 1/2 of 1, from determinants alone.
+
+    For t in [0, 1] each eigenvalue 1 + t w of I + t (k - I) stays within
+    t/2 of 1, and its argument moves from 0 by at most 1 rad per unit of t
+    (|d arg(1 + t w) / dt| <= |w| / |1 + t w| <= 1).  In r // 3 + 1 equal
+    steps of t the phase of the determinant then moves by less than pi per
+    step, and unwraps to the sum."""
+    r = len(k)
+    steps = r // 3 + 1
+    t = np.arange(1, steps + 1)[:, None, None] / steps
+    path = scipy.linalg.det(np.eye(r) + t * (k - np.eye(r)), check_finite=False)
+    return float(np.unwrap(np.angle(np.r_[1.0, path]))[-1])
+
+
+def _complex_schur(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex Schur form T_c of the real Schur form t, and the unitary
+    S with t = S T_c S^H.
+
+    LAPACK standardizes each 2 x 2 diagonal block of t as [[a, b], [c, a]]
+    with b c < 0, whose eigenvalues are a +- i w, w = sqrt(-b c), with the
+    unit eigenvectors (b, +-i w) / r, r = sqrt(b^2 + w^2).  S is the
+    identity but on these blocks, where its columns are (b, i w) / r and
+    (i w, b) / r; S^H t S is then upper triangular but for rounding in the
+    blocks' lower corners, which is dropped."""
+    k = np.flatnonzero(np.diagonal(t, -1))
+    b, w = t[k, k + 1], np.sqrt(-t[k, k + 1] * t[k + 1, k])
+    r = np.hypot(b, w)
+    s = np.eye(len(t), dtype=complex)
+    s[k, k] = s[k + 1, k + 1] = b / r
+    s[k + 1, k] = s[k, k + 1] = 1j * w / r
+    return np.triu(s.conj().T @ t @ s), s
+
+
 def _shifted(t: np.ndarray, z) -> np.ndarray:
     """A copy of t + zI."""
     a = t.astype(np.result_type(t, z))
@@ -180,23 +256,22 @@ def _shifted(t: np.ndarray, z) -> np.ndarray:
     return a
 
 
-def _trsyl(
-    a: np.ndarray, ty: np.ndarray, r: np.ndarray, transpose: bool = False
-) -> tuple[np.ndarray, float]:
-    """Y and the scale s of a Y + Y T_y = -s r, or with transpose of
-    a^T Y + Y T_y^T = -s r, by LAPACK trsyl."""
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (a, ty))
-    if transpose:
-        # the complex trsyl transposes with conjugation only ("C" is "T" for a real a)
-        y, scale, info = trsyl(a, ty, -np.conj(r), trana="C", tranb="C")
-        y = np.conj(y)
-    else:
-        y, scale, info = trsyl(a, ty, -r)
-    if info == 1:
-        raise _Singular("trsyl perturbed the shifted Sylvester operator: it is near singular")
+def _eig_last(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the real matrix h and the last entries of its unit
+    right eigenvectors, as complex arrays, by LAPACK geev given the
+    workspace its query returns (the blocked back-transform that allows
+    rounds unlike the unblocked one).  The vectors of a complex pair
+    w_j, w_{j+1} = conj(w_j) are vr[:, j] +- i vr[:, j+1]."""
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), (h,))
+    lwork = int(geev_lwork(len(h), compute_vl=False)[0])
+    wr, wi, _, vr, info = geev(h, compute_vl=False, lwork=lwork)
     if info != 0:
-        raise Uncertified(f"trsyl returned info {info}")
-    return y, scale
+        raise Uncertified(f"geev returned info {info}")
+    last = vr[-1] + 0j
+    pairs = np.flatnonzero(wi > 0)
+    last.imag[pairs] = vr[-1, pairs + 1]
+    last[pairs + 1] = last[pairs].conj()
+    return wr + 1j * wi, last
 
 
 @functools.lru_cache(maxsize=32)
@@ -246,12 +321,14 @@ def _sylvester(
         _sylvester(tx, ty[h:, h:], z, c[:, h:], floor)
     else:
         i, j, fronts, by_x, by_y = _wavefronts(n, m)
-        couple = np.zeros((n * m, n * m), tx.dtype)
-        for t, (entries, at) in ((tx, by_x), (ty, by_y)):
-            couple[entries] = t[at]
         d = (tx.diagonal()[i] + ty.diagonal()[j])[:, None] + z
         if (np.abs(d.real) + np.abs(d.imag) <= floor).any():
             raise _Singular("the shifted Sylvester operator is near singular")
+        # built after the test, so that its arrays and the test's are never
+        # held at once
+        couple = np.zeros((n * m, n * m), tx.dtype)
+        for t, (entries, at) in ((tx, by_x), (ty, by_y)):
+            couple[entries] = t[at]
         y = c[i, j]
         for start, stop in fronts:
             y[start:stop] -= couple[start:stop, :start] @ y[:start]
@@ -275,48 +352,62 @@ class _Shift:
 
     Vectors acted on by G are arrays in the coordinates of U, those acted on
     by G^T in the coordinates of W; the bilinear sum(a * b) of one of each
-    is the plain dot product of the vectors they stand for."""
+    is the plain dot product of the vectors they stand for.  The r x r
+    algebra of the Woodbury formula works on U, W and (L - zI)^{-1} U as
+    flat (r, nm) matrices, with LAPACK's getrf and getrs called directly."""
 
     def __init__(self, frame: _Frame, z):
         self.frame = frame
         self.a = _shifted(frame.tx, z)
-        self.zu = np.array([self.solve(uk) for uk in frame.u])
-        self.k = np.eye(len(frame.u)) + np.tensordot(frame.w, self.zu, axes=([1, 2], [1, 2]))
+        self.trsyl, self.getrf, self.getrs = scipy.linalg.get_lapack_funcs(
+            ("trsyl", "getrf", "getrs"), (self.a, frame.ty)
+        )
+        r = len(frame.u)
+        self.u, self.w = frame.u.reshape(r, -1), frame.w.reshape(r, -1)
+        self.zu = np.array([self.solve(uk).ravel() for uk in frame.u])
+        self.k = np.eye(r) + np.dot(self.w, self.zu.T)
         if not np.isfinite(self.k).all():
             raise Uncertified(f"the capacitance at {z} is not finite")
 
     def solve(self, r: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(L - zI)^{-1} r, or with transpose (L^T - zI)^{-1} r."""
-        y, scale = _trsyl(self.a, self.frame.ty, r, transpose)
+        """(L - zI)^{-1} r, or with transpose (L^T - zI)^{-1} r, by LAPACK
+        trsyl on (T_x + zI) Y + Y T_y = -s r (transposed,
+        (T_x + zI)^T Y + Y T_y^T = -s r) and its scale s."""
+        if transpose:
+            # the complex trsyl transposes with conjugation only ("C" is "T" for a real a)
+            y, scale, info = self.trsyl(self.a, self.frame.ty, -np.conj(r), trana="C", tranb="C")
+            y = np.conj(y)
+        else:
+            y, scale, info = self.trsyl(self.a, self.frame.ty, -r)
+        if info == 1:
+            raise _Singular("trsyl perturbed the shifted Sylvester operator: it is near singular")
+        if info != 0:
+            raise Uncertified(f"trsyl returned info {info}")
         return y / scale
 
     @functools.cached_property
     def lu(self) -> tuple:
         """The LU factors of K(z)."""
-        with warnings.catch_warnings():
-            # exact singularity is reported below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(self.k, check_finite=False)
-        # a nearly singular K is what shift-invert near an eigenvalue gives
-        if not np.diag(lu).all():
+        lu, piv, info = self.getrf(self.k)
+        # a nearly singular K is what shift-invert near an eigenvalue gives;
+        # getrf reports an exactly 0 pivot
+        if info > 0:
             raise _Singular("the capacitance is singular at the shift")
         return lu, piv
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """(G - zI)^{-1} r, by the Woodbury formula."""
         y = self.solve(r)
-        coef = scipy.linalg.lu_solve(self.lu, np.tensordot(self.frame.w, y, 2), check_finite=False)
-        return y - np.tensordot(coef, self.zu, 1)
+        coef = self.getrs(*self.lu, np.dot(self.w, y.reshape(-1, 1)))[0]
+        return y - np.dot(coef.T, self.zu).reshape(y.shape)
 
     def apply_transpose(self, r: np.ndarray) -> np.ndarray:
         """(G^T - zI)^{-1} r = (L^T - zI + W U^T)^{-1} r, by the Woodbury
         formula with K(z)^T."""
-        zw = np.array([self.solve(wk, transpose=True) for wk in self.frame.w])
+        zw = np.array([self.solve(wk, transpose=True).ravel() for wk in self.frame.w])
         y = self.solve(r, transpose=True)
-        coef = scipy.linalg.lu_solve(
-            self.lu, np.tensordot(self.frame.u, y, 2), trans=1, check_finite=False
-        )
-        return y - np.tensordot(coef, zw, 1)
+        coef = self.getrs(*self.lu, np.dot(self.u, y.reshape(-1, 1)), trans=1)[0]
+        return y - np.dot(coef.T, zw).reshape(y.shape)
 
 
 def _quiet(method):
@@ -359,7 +450,8 @@ class StructuredSolver:
         # ||L|| <= ||P_x|| + ||P_y||, so ||(L - zI)^{-1}|| <= 1 / (|z| - ||L||)
         # and ||K(z) - I|| <= 1/2 wherever |z| >= tail
         self.tail = float(
-            np.linalg.norm(px, 2) + np.linalg.norm(py, 2)
+            scipy.linalg.svdvals(px, check_finite=False)[0]
+            + scipy.linalg.svdvals(py, check_finite=False)[0]
             + 2 * np.linalg.norm(self.real.u) * np.linalg.norm(self.real.w)
         )
         # the line Re z = c of the count that certified rightmost()
@@ -370,8 +462,8 @@ class StructuredSolver:
     def complex(self) -> _Frame:
         """The complex frame, from the complex Schur forms T = S T_c S^H of
         the real T: Z_x = Q_x S_x and Z_y = Q_y conj(S_y)."""
-        tx, sx = scipy.linalg.schur(self.real.tx, output="complex")
-        ty, sy = scipy.linalg.schur(self.real.ty, output="complex")
+        tx, sx = _complex_schur(self.real.tx)
+        ty, sy = _complex_schur(self.real.ty)
         return _Frame(tx, ty, self.real.zx @ sx, self.real.zy @ sy.conj(), *self.boundary)
 
     def _frame(self, z: complex) -> tuple:
@@ -407,10 +499,7 @@ class StructuredSolver:
             if not np.isfinite(h[: p + 2, p]).all():
                 raise Uncertified("the Arnoldi run is not finite")
             basis[p + 1] = v / h[p + 1, p]
-            try:
-                nu, s = np.linalg.eig(h[: p + 1, : p + 1])
-            except np.linalg.LinAlgError as exc:
-                raise Uncertified(str(exc)) from exc
+            nu, last = _eig_last(h[: p + 1, : p + 1])
             if not nu.all():
                 raise Uncertified("a Ritz value is 0")
             lam = sigma + 1.0 / nu
@@ -419,7 +508,7 @@ class StructuredSolver:
             order = np.lexsort((-lam.imag, -lam.real))
             pick = order[wanted(lam[order])]
             # ARPACK's test: the residual of the Ritz pair against |nu|
-            residual = h[p + 1, p] * np.abs(s[-1, pick])
+            residual = h[p + 1, p] * np.abs(last[pick])
             if (residual <= RITZ_TOL * np.abs(nu[pick])).all():
                 return lam[order]
         raise Uncertified(f"no convergence in {steps} Arnoldi steps")
@@ -447,7 +536,8 @@ class StructuredSolver:
                 break
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)
-            gx = np.tensordot(np.tensordot(frame.w, x, 2), frame.u, 1) - frame.tx @ x - x @ frame.ty
+            boundary = np.dot(np.dot(shift.w, x.reshape(-1, 1)).T, shift.u).reshape(x.shape)
+            gx = boundary - frame.tx @ x - x @ frame.ty
             rho = np.sum(y * gx) / np.sum(y * x)
             if not np.isfinite(rho):
                 raise Uncertified(f"the Rayleigh quotient near {lam[i]} is not finite")
@@ -479,8 +569,10 @@ class StructuredSolver:
     def rightmost(self) -> np.ndarray:
         """The eigenvalues of G right of a line Re z = c, rightmost first:
         the rightmost group of Ritz values at sigma = 0, certified by a count
-        right of c, halfway to the next Ritz value (converged or not), that
-        equals its size, and then refined; each stays right of c.  Sets
+        right of c that equals its size, and then refined; each stays right
+        of c.  c lies halfway to the next Ritz value (converged or not); while
+        the count exceeds the group's size, at most LINE_RETRIES times, c
+        moves halfway toward the group and the count is taken again.  Sets
         ``line`` to c."""
         lam = self._ritz(0.0)
         wanted = _group(lam)
@@ -489,6 +581,13 @@ class StructuredSolver:
             raise Uncertified("no gap after the rightmost Ritz values")
         c = 0.5 * (lam[size - 1].real + lam[size].real)
         count = self.count_right(c)
+        # eigenvalues that no Ritz value holds lie right of c: the run
+        # stopped before it found them, so the line moves toward the group
+        for _ in range(LINE_RETRIES):
+            if count <= size:
+                break
+            c = 0.5 * (c + lam[size - 1].real)
+            count = self.count_right(c)
         if count != size:
             raise Uncertified(f"{count} eigenvalues right of {c}, but {size} Ritz values")
         group = self._refine(lam, wanted)
@@ -559,11 +658,11 @@ class StructuredSolver:
         if evaluations > MAX_EVALUATIONS:
             raise Uncertified(f"the count's grid up to {self.tail:g} is too long")
         k = self._capacitances(c + 1j * omegas)
-        values = np.linalg.det(k)
+        values = scipy.linalg.det(k, check_finite=False)
         if not (values.all() and np.isfinite(values).all()):
             raise Uncertified(f"det K is 0 or not finite on Re z = {c}")
         # K at the top sample, for the closing arc
-        closing = float(np.angle(np.linalg.eigvals(k[0])).sum())
+        closing = _argument_sum(k[0])
         # the phase steps between neighbouring samples, each at most
         # PHASE_STEP: the intervals with a longer step are halved, all of a
         # level in one batch
@@ -580,7 +679,7 @@ class StructuredSolver:
             if evaluations > MAX_EVALUATIONS:
                 raise Uncertified(f"the phase of det K on Re z = {c} is not resolved")
             wm = 0.5 * (w0 + w1)
-            dm = np.linalg.det(self._capacitances(c + 1j * wm))
+            dm = scipy.linalg.det(self._capacitances(c + 1j * wm), check_finite=False)
             if not (dm.all() and np.isfinite(dm).all()):
                 raise Uncertified(f"the phase of det K on Re z = {c} is not resolved")
             w0, d0, w1, d1 = np.r_[w0, wm], np.r_[d0, dm], np.r_[wm, w1], np.r_[dm, d1]
@@ -605,7 +704,7 @@ class StructuredSolver:
         shift = self._shift(complex(lam))
         # the right null vector of K(lam)
         k = np.conj(scipy.linalg.svd(shift.k)[2][-1])
-        x = (shift.frame.zx @ np.tensordot(k, shift.zu, 1) @ shift.frame.zy.T).ravel()
+        x = (shift.frame.zx @ (k @ shift.zu).reshape(self.shape) @ shift.frame.zy.T).ravel()
         if not (np.isfinite(x).all() and x.any()):
             raise Uncertified(f"no eigenvector of {lam} from K")
         return _canonicalize(x)

@@ -218,6 +218,34 @@ def test_batched_capacitances_match_trsyl(text, n):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _lapack_trsyl(a, ty, c):
+    # Y, the scale s and info of a Y + Y T_y = s c, by LAPACK trsyl
+    return scipy.linalg.get_lapack_funcs("trsyl", (a, ty))(a, ty, c)
+
+
+@pytest.mark.parametrize("name", ["ex2_1", "velocity"])
+def test_complex_frame_is_a_complex_schur_form(name):
+    solver = structured.StructuredSolver(assemble(builtin(name)[0], 16))
+    for t in (solver.real.tx, solver.real.ty):
+        assert np.count_nonzero(np.diagonal(t, -1)) >= 2
+        tc, s = structured._complex_schur(t)
+        assert np.array_equal(tc, np.triu(tc))
+        assert np.max(np.abs(s.conj().T @ s - np.eye(len(t)))) <= 1e-14
+        assert np.max(np.abs(s @ tc @ s.conj().T - t)) <= 1e-14 * np.max(np.abs(t))
+
+
+@pytest.mark.parametrize("r", [1, 2, 6, 22, 40])
+def test_closing_arc_from_determinants(r):
+    # the summed principal arguments of the eigenvalues of K = I + Q diag(w) Q^H,
+    # |w| < 1/2, against the eigenvalues themselves: past pi for r >= 8
+    rng = np.random.default_rng(r)
+    q = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+    w = 0.49 * np.exp(1j * rng.uniform(0.3, 1.2, r))
+    for k in (q @ np.diag(1 + w) @ q.conj().T, np.eye(r) + 0.49 * np.triu(np.ones((r, r))) / r):
+        want = np.angle(np.linalg.eigvals(k)).sum()
+        assert abs(structured._argument_sum(k) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_batched_sylvester_solve_on_rectangular_blocks():
     # n != m: both splits, and leaves of several shapes
     rng = np.random.default_rng(7)
@@ -230,8 +258,8 @@ def test_batched_sylvester_solve_on_rectangular_blocks():
     y = c.copy()
     structured._sylvester(tx, ty, z, y, np.zeros(len(z)))
     for b in range(len(z)):
-        want, scale = structured._trsyl(structured._shifted(tx, z[b]), ty, -c[:, :, b])
-        assert scale == 1.0
+        want, scale, info = _lapack_trsyl(structured._shifted(tx, z[b]), ty, c[:, :, b])
+        assert info == 0 and scale == 1.0
         assert np.max(np.abs(y[:, :, b] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -240,8 +268,10 @@ def test_batched_solve_is_singular_where_trsyl_is():
     frame = solver.complex
     # t_x,00 + t_y,00 + z = 0: the shifted Sylvester operator is singular
     pole = -(frame.tx[0, 0] + frame.ty[0, 0])
+    a = structured._shifted(frame.tx, pole)
+    assert _lapack_trsyl(a, frame.ty, frame.u[0])[2] == 1
     with pytest.raises(structured._Singular):
-        structured._trsyl(structured._shifted(frame.tx, pole), frame.ty, frame.u[0])
+        structured._Shift(frame, pole)
     for batch in ([pole], [-1.5 + 2j, pole, -1.5 + 3j]):
         with pytest.raises(structured._Singular):
             solver._capacitances(np.array(batch))
@@ -388,23 +418,43 @@ def test_refinement_returns_an_eigenvalue_or_raises(c):
 
 def test_count_refuses_ritz_values_that_miss_an_eigenvalue():
     # ex1_2 at n = 12: the Arnoldi run at 0 stops at -1 and -21.90 +- 39.08i,
-    # but -9.962 +- 28.570i lie right of the line halfway between them
+    # but -9.962 +- 28.570i lie right of the line halfway between them; the
+    # line then moves halfway toward -1, where the count certifies
     gen = assemble(builtin("ex1_2")[0], 12)
     solver = structured.StructuredSolver(gen)
     ritz = solver._ritz(0.0)
     c = 0.5 * (ritz[0].real + ritz[1].real)
     assert abs(c + 11.4477) <= 1e-4
-    with pytest.raises(structured.Uncertified):
-        solver.rightmost()
+    group = solver.rightmost()
     values = _dense_report(gen).eigenvalues
+    assert len(group) == 1 and _close(group[0], -1.0) and _close(group[0], values[0])
+    assert solver.count_right(solver.line) == np.count_nonzero(values.real > solver.line) == 1
     assert solver.count_right(c) == np.count_nonzero(values.real > c) == 3
+
+
+def test_ritz_eigensolve_is_numpy_eig(monkeypatch):
+    # the Hessenberg matrices of Arnoldi runs, real and complex Ritz values:
+    # eigenvalues and the last entries of the unit eigenvectors bit for bit
+    # as numpy.linalg.eig gives them
+    calls = []
+    eig_last = structured._eig_last
+    monkeypatch.setattr(structured, "_eig_last", lambda h: calls.append(h) or eig_last(h))
+    for name in ("ex1_2", "ex2_1", "velocity"):
+        structured.StructuredSolver(assemble(builtin(name)[0], 16))._ritz(0.0)
+    assert len(calls) > 40
+    for h in calls:
+        nu, last = eig_last(h)
+        want, vectors = np.linalg.eig(h)
+        assert np.array_equal(nu, want) and np.array_equal(last, vectors[-1])
+    assert any((nu.imag != 0).any() for nu, _ in map(eig_last, calls))
 
 
 def test_refined_conjugate_pair_is_exact():
     model, _ = builtin("ex2_1")
     gen = assemble(model, N_MIN)
     solver = structured.StructuredSolver(gen)
-    ritz = solver._ritz(0.0)
+    # the run stops once the pair has converged too
+    ritz = solver._ritz(0.0, lambda lam: slice(0, 3))
     pair = solver._refine(ritz, slice(1, 3))
     assert pair[0].imag > 0 and pair[1] == np.conj(pair[0])
     values = _dense_report(gen).eigenvalues
@@ -456,6 +506,43 @@ def test_sweeps_build_no_dense_matrix_above_the_threshold(monkeypatch, name):
         assert record.error is None
         assert record.lam.imag == 0.0 and not np.signbit(record.lam.imag)
         assert np.isfinite([record.eps_lambda, record.eps_phi, record.matrix_norm]).all()
+
+
+def _scan_family(h):
+    # the 2-D family of perfbench's scan-small: ex1_4 with mortality 2x + 1 + h
+    ex14, _ = builtin("ex1_4")
+    return load_model(
+        "x_min = 0\nx_max = 2\ny_min = 0\ny_max = 1\n"
+        f'mu = "2*x + 1 + ({h!r})"\n'
+        f'alpha = "{ex14.alpha.source}"\nbeta = "{ex14.beta.source}"\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [(name, None) for name in SEPARABLE_2D] + [("scan", -1.0), ("scan", -3.0)],
+    ids=[*SEPARABLE_2D, "scan-h=-1", "scan-h=-3"],
+)
+def test_smallest_structured_dimension_takes_the_structured_path(monkeypatch, name, h):
+    model = builtin(name)[0] if h is None else _scan_family(h)
+    gen = assemble(model, N_MIN)
+    with monkeypatch.context() as patch:
+        _forbid_dense(patch)
+        report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    assert _close(report.abscissa, _dense_report(gen).abscissa)
+
+
+@pytest.mark.parametrize("n", [12, 14, 44])
+def test_count_certifies_on_a_line_nearer_the_group(monkeypatch, n):
+    # ex1_2's count exceeds 1 on the line halfway to the next Ritz value
+    # (test_count_refuses_ritz_values_that_miss_an_eigenvalue); a line nearer
+    # -1 certifies it
+    model, ref = builtin("ex1_2")
+    _forbid_dense(monkeypatch)
+    report = compute_spectrum(assemble(model, n), k=1)
+    assert report.path == "structured"
+    assert len(report.eigenvalues) == 1 and _close(report.abscissa, ref.lam)
 
 
 NONSEPARABLE = (
