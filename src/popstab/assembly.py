@@ -27,22 +27,35 @@ A mu that is not separable instead keeps the whole block
 (n, m, n, m) tensor, subtracted after the boundary rows.  A 1-D model is
 the one-axis case: generator = -D - D^{-1} diag(mu) D + 1 (w beta)^T E D.
 
-A :class:`GeneratorMatrix` keeps these factors: the blocks P_k, the row
-factors V_alpha and V_beta, and the samples of a mu that is not separable.
-Assembly forms no nm x nm array.  The dense matrix is built from the
-factors on first use, and is then the only nm x nm array (with the whole
-mortality block while it is subtracted): each P_k is written into a
-strided view of the diagonal blocks and each row factor is added through a
-broadcast view of the matrix.  Products with E_x (x) E_y and D_x (x) D_y
-act per axis on the (n, m) tensor of a row.  Non-finite factors, or a
-non-finite entry of the dense matrix, raise :class:`GeneratorOverflow`.
-Cumulative integrals are solves with the LU factors of the trimmed
-matrices, made once per axis.  An axis depends only on its interval and
-degree, so it is built once per (interval, degree) and shared by every
-generator that uses it, with its lazy LU factors and cubature; its arrays
-are read-only.  Coefficient samples that are undefined (log or sqrt
-outside their domain) or not finite raise :class:`InvalidSample`, naming
-the coefficient and the first such sample point.
+Each row factor is built compressed, V = C W^T.  The kernel samples come at
+the shape the expression evaluator returns (ex2_1's alpha = x^2 |x| 5/8 as
+(n, 1, 1)), and the range of their unfolding (other-axis nodes x cubature
+grid), as the boundary row sees it, is found by a fixed-seed randomized
+range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011) before
+anything is broadcast onto the cubature grid.  Only its r rows are weighted
+and pass through E D (:meth:`Axis.derivative`) to give W^T; C is the
+cumulative integral of the basis along the other axis, and the factor is
+cut at singular values below RANK_RTOL.  Every nonzero builtin kernel has
+rank 1.
+
+A :class:`GeneratorMatrix` keeps these factors: the blocks P_k, the pair
+(C, W^T) of each axis, and the samples of a mu that is not separable.
+Assembly forms no nm x nm array and no row factor of n_other x nm.  The
+dense matrix is built from the factors on first use, and is then the only
+nm x nm array (with the whole mortality block while it is subtracted): each
+P_k is written into a strided view of the diagonal blocks and each expanded
+row factor is added through a broadcast view of the matrix.  Non-finite
+factors, a cubature whose terms sum in absolute value beyond the float range
+(the rounding error of its row is then unbounded), or a non-finite entry of
+the dense matrix raise :class:`GeneratorOverflow`.  Cumulative integrals are
+solves with the LU factors of the trimmed matrices, made once per axis.  An
+axis depends only on its interval and degree, so it is built once per
+(interval, degree) and shared by every generator that uses it, with its lazy
+LU factors, cubature and E D; its arrays are read-only.  Coefficient samples
+that are undefined (log or sqrt outside their domain) or not finite raise
+:class:`InvalidSample`, naming the coefficient and the first such point of
+the grid; they are checked at the shape the evaluator returns, so the check
+forms no array of the broadcast grid.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .expr import DomainError
@@ -79,6 +93,7 @@ class Axis:
     grid: ChebGrid
     d: np.ndarray
     _cubatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -99,6 +114,17 @@ class Axis:
             _read_only(rule.nodes, rule.grid.bary_weights, rule.weights, interp)
             self._cubatures[oversample] = rule, interp
         return self._cubatures[oversample]
+
+    def derivative(self, oversample: int) -> tuple[np.ndarray, np.ndarray]:
+        """E D, the interpolation matrix of :meth:`cubature` times D (the
+        derivative at the cubature nodes of the interpolant of inner-node
+        values), and its absolute row sums, built on first use."""
+        if oversample not in self._derivatives:
+            ed = self.cubature(oversample)[1] @ self.d
+            spread = np.abs(ed).sum(axis=1)
+            _read_only(ed, spread)
+            self._derivatives[oversample] = ed, spread
+        return self._derivatives[oversample]
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,21 +158,34 @@ class GeneratorMatrix:
     as the factors it is made of.
 
     ``blocks`` holds one block P_k = diag(g_k) D_k + M_k per axis, and
-    ``rows`` the boundary row factor of each axis (see
-    :func:`_boundary_rows`); ``mu`` holds the samples of a mu that is not
-    separable (then every M_k is 0), else None.  ``matrix`` is built from
-    them on first use.  Entries are indexed by tuples of inner-node
-    indices, one per axis, in lexicographic order.
+    ``boundary`` the boundary row factor of each axis as the pair (C, W^T)
+    of :func:`_boundary_rows`, compressed to the rank of its kernel;
+    ``mu`` holds the samples of a mu that is not separable (then every M_k
+    is 0), else None.  ``rows`` expands the row factors and ``matrix`` is
+    built from the factors on first use.  Entries are indexed by tuples of
+    inner-node indices, one per axis, in lexicographic order.
     """
 
     axes: tuple[Axis, ...]
     blocks: tuple[np.ndarray, ...]
-    rows: tuple[np.ndarray, ...]
+    boundary: tuple[tuple[np.ndarray, np.ndarray], ...]
     mu: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return math.prod(ax.n for ax in self.axes)
+
+    @property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The row factor C W^T of each axis, shaped (n, ..., dim) with
+        length 1 along that axis, the axis along which the boundary block
+        replicates it; built anew on each access."""
+        rows = []
+        for k, (c, wt) in enumerate(self.boundary):
+            shape = [ax.n for ax in self.axes]
+            shape[k] = 1
+            rows.append((c @ wt).reshape(*shape, self.dim))
+        return tuple(rows)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -175,18 +214,25 @@ def _overflow(axes: tuple[Axis, ...]) -> GeneratorOverflow:
 
 
 def _samples(coef, name: str, *points) -> np.ndarray:
-    """coef on the broadcast grid of the point arrays; raises InvalidSample
-    where it is undefined or not finite."""
-    shape = np.broadcast_shapes(*(np.shape(p) for p in points))
+    """coef on the grid of the point arrays, at the shape the evaluator
+    returns (length 1 along an axis it does not vary on, no axis dropped);
+    raises InvalidSample where it is undefined or not finite, naming the
+    first such point of the broadcast grid."""
+    ndim = max(np.ndim(p) for p in points)
     try:
-        values = np.broadcast_to(np.asarray(coef(*points), dtype=float), shape)
+        values = np.asarray(coef(*points), dtype=float)
+        values = values.reshape((1,) * (ndim - values.ndim) + values.shape)
         bad = ~np.isfinite(values)
         reason = "is not finite"
     except DomainError as exc:
-        bad = np.broadcast_to(exc.where, shape)
+        bad = np.asarray(exc.where)
         reason = f"is undefined ({exc})"
     if np.any(bad):
-        first = np.unravel_index(np.argmax(bad), shape)
+        # the first bad point of the broadcast grid has index 0 along every
+        # axis where bad has length 1
+        bad = bad.reshape((1,) * (ndim - bad.ndim) + bad.shape)
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        shape = np.broadcast_shapes(bad.shape, *(np.shape(p) for p in points))
         at = ", ".join(
             f"{var} = {np.broadcast_to(p, shape)[first]:.17g}"
             for var, p in zip(coef.variables, points)
@@ -202,7 +248,9 @@ SEPARABLE_RTOL = 1e-14
 def _mortality(model: Model, axes: tuple[Axis, ...]):
     """The per-axis blocks M_k of the split of mu and None, or, when mu is
     not separable, zeros and the samples of mu on the inner grid."""
-    mu = _samples(model.mu, "mu", *np.ix_(*(ax.theta for ax in axes)))
+    mu = np.broadcast_to(
+        _samples(model.mu, "mu", *np.ix_(*(ax.theta for ax in axes))), [ax.n for ax in axes]
+    )
     k = len(axes)
     parts = [
         mu[tuple(slice(None) if i == j else 0 for i in range(k))] - (k - 1) / k * mu.flat[0]
@@ -237,52 +285,151 @@ def _mortality_block(mu: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
 # The inflow kernel across the left edge of each axis.
 _KERNELS = ("beta", "alpha")
 
+# Singular values of a boundary row factor below RANK_RTOL of the largest
+# are dropped (:func:`_truncate`).  Its range is sketched first, from
+# SKETCH_SAMPLES columns on, keeping the directions above SKETCH_RTOL, a
+# quarter of the cut, for the spread of a random sketch's singular values.
+# The sketch's rounding stays below it: on ex1_3 (rank 1) at n = 16..128 the
+# second singular value of the sketch lies at 2.3-11 eps of the first.
+RANK_RTOL = 64 * np.finfo(float).eps
+SKETCH_RTOL = RANK_RTOL / 4
+SKETCH_SAMPLES = 10
+
+
+def _along(t: np.ndarray, mats) -> np.ndarray:
+    """t, (k, ...) with one trailing axis per matrix (at most two), with
+    each trailing axis contracted with the rows of its matrix."""
+    *first, last = mats
+    for a in first:
+        t = a.T @ t
+    return t @ last
+
+
+def _compress(a: np.ndarray, sketch, pipeline, integrate) -> tuple[np.ndarray, np.ndarray]:
+    """The row factor (C, W^T) of the kernel with unfolding ``a`` (rows x
+    cols): C W^T = integrate(a) pipeline = V up to the singular values that
+    :func:`_truncate` cuts, C = integrate(Q') and W^T = pipeline(B) for
+    Q' B = a on the range that V sees.
+
+    ``pipeline(b)`` maps rows of ``a`` to rows of the generator,
+    ``integrate(q)`` takes the cumulative integral along the other axis, and
+    ``sketch(k, rng)`` applies the transposed pipeline to k fixed-seed
+    random vectors omega, with entries uniform on [-1, 1] (a quarter of the
+    cost of Gaussian ones to draw).  A single row is B itself, with Q' = 1.
+    Otherwise the sketch Y = a pipeline^T omega (Halko, Martinsson & Tropp,
+    SIAM Review 53(2), 2011), or ``a`` itself when it has at most as many
+    columns, grows by appended columns until integrate(Y), a sketch of V,
+    has a singular value below SKETCH_RTOL of its largest.  Q is an orthonormal basis of the
+    combinations of Y's columns that carry the singular values above it,
+    Q' = Q s and B = s^{-1} Q^T a, s the largest entry of each row of Q^T a.
+    """
+    rows, cols = a.shape
+    if rows == 1:
+        r = int(a.any())
+        return integrate(np.ones((1, r))), pipeline(a[:r])
+    # the sketch of a / max|a|, which stays finite
+    scale = np.abs(a).max() or 1.0
+    rng = np.random.default_rng(0)
+    y = np.zeros((rows, 0))
+    samples = min(SKETCH_SAMPLES, rows)
+    while cols > samples:
+        y = np.concatenate([y, a @ (sketch(samples - y.shape[1], rng) / scale)], axis=1)
+        _, s, vt = scipy.linalg.svd(integrate(y), full_matrices=False, check_finite=False)
+        if np.count_nonzero(s > SKETCH_RTOL * s[0]) < samples or samples == rows:
+            break
+        samples = min(2 * samples, rows)
+    else:
+        # no more columns than the sketch: a is its own
+        y = a / scale
+        _, s, vt = scipy.linalg.svd(integrate(y), full_matrices=False, check_finite=False)
+    # integrate(Y) vt^T spans V's range, Y vt^T the range of a it comes from
+    vt = vt[s > SKETCH_RTOL * s[0]]
+    q = scipy.linalg.qr(y @ vt.T, mode="economic", check_finite=False)[0]
+    b = q.T @ a
+    # each row of B of largest entry 1: a kernel of rank 1 that is constant
+    # on the cubature grid gives B = +-1, the same row for both edges
+    size = np.abs(b).max(axis=1)
+    return _truncate(integrate(q * size), pipeline(b / size[:, None]))
+
+
+def _truncate(c: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C' and W'^T with C' W'^T = C W^T up to its singular values cut at
+    RANK_RTOL, with orthonormal rows in W'^T: W = Q R by QR, then the SVD
+    of the small C R^T.  A factor of rank at most 1 is returned as is."""
+    if len(wt) <= 1:
+        return c, wt
+    q, r = scipy.linalg.qr(wt.T, mode="economic", check_finite=False)
+    u, s, vt = scipy.linalg.svd(c @ r.T, full_matrices=False, check_finite=False)
+    rank = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
+    return u[:, :rank] * s[:rank], vt[:rank] @ q.T
+
 
 def _boundary_rows(
     model: Model, axes: tuple[Axis, ...], axis: int, oversample: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The row factor of the inflow across the left edge of ``axes[axis]``
-    (beta for x, alpha for y), shaped (n, ..., dim) with length 1 along
-    ``axis``, the axis along which the boundary block replicates it.
+    (beta for x, alpha for y) as C (n_other x r) and W^T (r x dim): row i of
+    C W^T is the row of the i-th inner node of the other axis, which the
+    boundary block replicates along ``axis``.  In 1-D there is no other axis,
+    C is 1 x 1 and C W^T is (w beta)^T E D.
 
-    Pipeline: sample the kernel at the inner nodes of the other axis and
-    the cubature grid, and weight it by the cubature; interpolate the
-    mixed derivative of the interpolant from the inner tensor grid to the
-    cubature grid and integrate it against each kernel row; then take the
-    cumulative integral along the other axis.  Each step acts one axis at
-    a time.  In 1-D there is no other axis and the row is (w beta)^T E D.
+    The kernel is sampled at the inner nodes of the other axis and the
+    cubature grid, at the shape the evaluator returns: a kernel that does
+    not vary along a grid axis has length 1 there.  Its unfolding A (other
+    axis x cubature grid) is compressed first (:func:`_compress`), so that
+    only the r rows of B are weighted by the cubature on the whole grid and
+    integrated against the derivative of the interpolant at the cubature
+    nodes (:meth:`Axis.derivative`), W^T = (B w) (E_x D_x (x) E_y D_y), one
+    axis at a time.  C then takes the cumulative integral along the other
+    axis, and :func:`_truncate` cuts the factor to its rank.
     """
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
     name = _KERNELS[axis]
     others = axes[:axis] + axes[axis + 1:]
-    rules, interps = zip(*(ax.cubature(oversample) for ax in axes))
+    rules = [ax.cubature(oversample)[0] for ax in axes]
+    eds, spreads = zip(*(ax.derivative(oversample) for ax in axes))
     kern = _samples(
         getattr(model, name),
         name,
         *np.ix_(*(ax.theta for ax in others), *(rule.nodes for rule in rules)),
     )
-    t = kern * reduce(np.multiply.outer, [rule.weights for rule in rules])
-    # rows @ kron(E) @ kron(D), one axis at a time: the last axis from the
-    # right, the one before it (x in 2-D) from the left
-    for mats in (interps, [ax.d for ax in axes]):
-        *first, last = mats
-        for a in first:
-            t = a.T @ t
-        t = t @ last
+    grid = kern.shape[len(others):]
+    weights = reduce(np.multiply.outer, [rule.weights for rule in rules])
+    spread = reduce(np.multiply.outer, spreads).ravel()
     dim = math.prod(ax.n for ax in axes)
-    for ax in others:
-        t = lu_solve(ax.lu, t.reshape(ax.n, dim))
-    shape = [ax.n for ax in axes]
-    shape[axis] = 1
-    return t.reshape(*shape, dim)
+
+    def pipeline(b):
+        terms = b.reshape(-1, *grid) * weights
+        # the absolute sum of the cubature's terms bounds the rounding error
+        # of each row: beyond the float range, the row is not known
+        if not np.isfinite(np.abs(terms).reshape(len(terms), spread.size) @ spread).all():
+            raise _overflow(axes)
+        return _along(terms, eds).reshape(len(terms), dim)
+
+    def sketch(k, rng):
+        # the rows of w E D at the kernel's shape: summed along an axis
+        # where the kernel is constant
+        maps = [
+            rule.weights[:, None] * ed if size > 1 else (rule.weights @ ed)[None]
+            for rule, ed, size in zip(rules, eds, grid)
+        ]
+        omega = rng.uniform(-1.0, 1.0, (k, *(ax.n for ax in axes)))
+        return _along(omega, [m.T for m in maps]).reshape(k, -1).T
+
+    def integrate(c):
+        for ax in others:
+            c = lu_solve(ax.lu, np.broadcast_to(c, (ax.n, c.shape[1])))
+        return c
+
+    return _compress(kern.reshape(-1, math.prod(grid)), sketch, pipeline, integrate)
 
 
 def _velocity_samples(coef, nodes, name: str) -> np.ndarray:
     values = _samples(coef, name, nodes)
     if np.any(values <= 0):
         raise NonpositiveVelocity(f"{name} must be strictly positive at the nodes")
-    return values
+    return np.broadcast_to(values, nodes.shape)
 
 
 def _blocks(lifted: np.ndarray, k: int) -> np.ndarray:
@@ -322,10 +469,12 @@ def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> Gener
         # the last axis (alpha) is sampled first: when both kernels have an
         # invalid sample, the error names alpha
         last_first = reversed(range(len(axes)))
-        rows = tuple(reversed([_boundary_rows(model, axes, a, oversample) for a in last_first]))
-    if not all(np.isfinite(f).all() for f in blocks + rows):
+        boundary = tuple(
+            reversed([_boundary_rows(model, axes, a, oversample) for a in last_first])
+        )
+    if not all(np.isfinite(f).all() for f in blocks + sum(boundary, ())):
         raise _overflow(axes)
-    return GeneratorMatrix(axes, blocks, rows, mu)
+    return GeneratorMatrix(axes, blocks, boundary, mu)
 
 
 def assemble_1d(model: Model, n: int, oversample: int = 2) -> GeneratorMatrix:

@@ -3,10 +3,12 @@
 Such a generator is G = L + U W^T.  L X = -P_x X - X P_y^T is the Kronecker
 sum of the per-axis blocks, acting on the n x m array X[i, j] of a vector
 (row-major, as ``matrix.reshape(n, m, dim)`` reads it), and U W^T is the
-boundary term: the stacked row factors [V_alpha; V_beta] = C W^T are
-compressed to rank r by a randomized range finder (Halko, Martinsson &
-Tropp, SIAM Review 53(2), 2011), and column k of U is the outer sum of
-C[:n, k] and C[n:, k].
+boundary term.  Assembly gives each edge's row factor compressed to the rank
+of its kernel, V_alpha = C_a W_a^T and V_beta = C_b W_b^T, by a randomized
+range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011); the
+solver joins the two, [V_alpha; V_beta] = C W^T cut to rank r by a QR of the
+stacked W^T and an SVD of the small core, and column k of U is the outer sum
+of C[:n, k] and C[n:, k].
 
 All work happens in Schur coordinates of the per-axis blocks (Bartels &
 Stewart, CACM 15(9), 1972), one frame per arithmetic: (quasi-)triangular
@@ -77,7 +79,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .assembly import GeneratorMatrix, _overflow
+from .assembly import GeneratorMatrix, _overflow, _truncate
 from .linalg import _canonicalize
 
 EPS = np.finfo(float).eps
@@ -109,11 +111,6 @@ EPS = np.finfo(float).eps
 # on the others, and the Hessenberg eigensolve at every step is about half
 # of it.
 STRUCTURED_MIN_DIM = 144
-
-# Singular values of the stacked boundary factor below this fraction of the
-# largest are dropped.
-RANK_RTOL = 64 * EPS
-SKETCH_SAMPLES = 10
 
 # The Arnoldi run on (G - sigma I)^{-1}: at most ARNOLDI_STEPS operator
 # applications.  A wanted Ritz value nu of H has converged when ARPACK's test
@@ -181,30 +178,6 @@ def applies(generator: GeneratorMatrix) -> bool:
         and generator.mu is None
         and generator.dim >= STRUCTURED_MIN_DIM
     )
-
-
-def _compress(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C (rows x r) and W^T (r x cols) with stacked = C W^T up to the
-    singular values cut at RANK_RTOL, from a fixed-seed sketch that grows
-    until it holds a dropped direction."""
-    rows, cols = stacked.shape
-    rng = np.random.default_rng(0)
-    samples = SKETCH_SAMPLES
-    while True:
-        if samples >= rows:
-            q = np.eye(rows)
-        else:
-            q = scipy.linalg.qr(
-                stacked @ rng.standard_normal((cols, samples)), mode="economic", check_finite=False
-            )[0]
-            # in C order: numpy takes a Fortran-order q through other BLAS
-            # calls in the products below, which round differently
-            q = np.ascontiguousarray(q)
-        u, s, wt = scipy.linalg.svd(q.T @ stacked, full_matrices=False)
-        r = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
-        if r < samples or samples >= rows:
-            return (q @ u[:, :r]) * s[:r], wt[:r]
-        samples *= 2
 
 
 def _group(lam: np.ndarray) -> slice:
@@ -423,7 +396,7 @@ def _quiet(method):
 
 
 class StructuredSolver:
-    """The Schur forms and the compressed boundary term of one generator;
+    """The Schur forms and the joined boundary term of one generator;
     raises :class:`GeneratorOverflow` when ||G||inf, taken from the factors,
     is not finite, and :class:`Uncertified` when the boundary term is 0."""
 
@@ -432,14 +405,18 @@ class StructuredSolver:
         ax, ay = generator.axes
         self.shape = n, m = ax.n, ay.n
         px, py = generator.blocks
-        beta, alpha = generator.rows
-        self.norm = _norm_inf(px, py, alpha.reshape(n, n, m), beta.reshape(m, n, m))
+        beta, alpha = generator.boundary
+        self.norm = _norm_inf(px, py, alpha, beta)
         if not math.isfinite(self.norm):
             raise _overflow(generator.axes)
         try:
             tx, qx = scipy.linalg.schur(px)
             ty, qy = scipy.linalg.schur(py.T)
-            c, wt = _compress(np.concatenate([alpha.reshape(n, -1), beta.reshape(m, -1)]))
+            # the two edges joined, [C_a W_a^T; C_b W_b^T], cut to its rank
+            (ca, wa), (cb, wb) = alpha, beta
+            c = np.zeros((n + m, len(wa) + len(wb)))
+            c[:n, : len(wa)], c[n:, len(wa) :] = ca, cb
+            c, wt = _truncate(c, np.concatenate([wa, wb]))
         except scipy.linalg.LinAlgError as exc:
             raise Uncertified(str(exc)) from exc
         if not len(wt):
@@ -711,20 +688,23 @@ class StructuredSolver:
 
 
 def _norm_inf(px, py, alpha, beta) -> float:
-    """||G||inf from the blocks and the row factors (alpha as (n, n, m) and
-    beta as (m, n, m)).
+    """||G||inf from the blocks and the row factors (C, W^T) of alpha
+    (C n x r_a) and of beta (C m x r_b).
 
     Row (i, j) of G is alpha_i + beta_j - e_i (x) P_y[j] - P_x[i] (x) e_j,
     so its absolute sum is at most ||alpha_i||_1 + ||beta_j||_1 +
-    ||P_x[i]||_1 + ||P_y[j]||_1.  Rows are summed exactly in descending
-    order of that bound, NORM_CHUNK at a time, until the next bound, widened
-    by the rounding of the sums, falls below the largest sum: the result is
-    exact up to rounding.  A bound that is not finite gives inf.
+    ||P_x[i]||_1 + ||P_y[j]||_1, with ||alpha_i||_1 <= sum_k |C_ik| ||W_k||_1
+    (an equality at rank 1), and likewise for beta.  Rows are summed exactly
+    in descending order of that bound, NORM_CHUNK at a time, until the next
+    bound, widened by the rounding of the sums, falls below the largest sum:
+    the result is exact up to rounding.  A bound that is not finite gives
+    inf.
     """
     n, m = len(px), len(py)
+    (ca, wa), (cb, wb) = alpha, beta
     bound = np.add.outer(
-        np.abs(alpha).sum(axis=(1, 2)) + np.abs(px).sum(axis=1),
-        np.abs(beta).sum(axis=(1, 2)) + np.abs(py).sum(axis=1),
+        np.abs(ca) @ np.abs(wa).sum(axis=1) + np.abs(px).sum(axis=1),
+        np.abs(cb) @ np.abs(wb).sum(axis=1) + np.abs(py).sum(axis=1),
     ).ravel()
     if not np.isfinite(bound).all():
         return math.inf
@@ -736,8 +716,9 @@ def _norm_inf(px, py, alpha, beta) -> float:
             break
         i, j = np.divmod(order[start : start + NORM_CHUNK], m)
         k = np.arange(len(i))
-        rows = alpha[i]
-        rows += beta[j]
+        rows = ca[i] @ wa
+        rows += cb[j] @ wb
+        rows = rows.reshape(-1, n, m)
         rows[k, i, :] -= py[j]
         rows[k, :, j] -= px[i]
         np.abs(rows, out=rows)

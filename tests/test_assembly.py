@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,9 @@ from popstab.assembly import (
     collocation_axis,
     collocation_grids,
 )
+from popstab.expr import DomainError
 from popstab.grid import cheb_grid, diff_ops, interp_matrix
-from popstab.model import BUILTIN_NAMES, NonpositiveVelocity, builtin, load_model
+from popstab.model import BUILTIN_NAMES, InvalidSample, NonpositiveVelocity, builtin, load_model
 from popstab.quad import cc_weights
 from popstab.spectra import compute_spectrum
 
@@ -306,15 +308,16 @@ def test_generators_of_one_interval_and_degree_share_their_axes():
 
 
 def _axis_arrays(ax):
-    """Every array an axis hands out, with its LU factors and cubature."""
+    """Every array an axis hands out, with its LU factors, cubature and
+    derivative at the cubature nodes."""
     rule, interp = ax.cubature(2)
-    return [*_held_arrays(ax), ax.theta, *ax.lu, *_held_arrays(rule), interp]
+    return [*_held_arrays(ax), ax.theta, *ax.lu, *_held_arrays(rule), interp, *ax.derivative(2)]
 
 
 def test_axis_arrays_are_read_only():
     (ax,) = collocation_grids(load(FILE_1D), 5)
     arrays = _axis_arrays(ax)
-    assert len(arrays) == 10
+    assert len(arrays) == 12
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
@@ -395,6 +398,43 @@ def test_assembly_peak_memory(name):
     assert not [a for a in _held_arrays(gen) if a.size >= gen.dim**2]
     assert matrix.shape == (gen.dim, gen.dim) and matrix.dtype == np.float64
     assert gen.matrix is matrix
+
+
+def test_assembly_memory_at_degree_128():
+    # ex2_1's kernels come back as (128, 1, 1) samples, and one row of each
+    # goes through the cubature: the whole (128, 257, 257) tensor and its
+    # weighted copy took 119.6 MB
+    model, _ = builtin("ex2_1")
+    assemble(model, 128)  # warm up the axis cache
+    tracemalloc.start()
+    try:
+        assemble(model, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    ["x / (xi - 0.5)", "log(0.7 - sigma)", "sqrt(0.6 - x) + xi", "log(1.2 - x - xi*sigma)"],
+)
+def test_invalid_kernel_sample_names_the_first_point_of_the_grid(alpha):
+    # the samples are checked at the shape the evaluator returns, here
+    # (n, 2n+1, 1), (1, 1, 2m+1), (n, 1, 1) and (n, 2n+1, 2m+1); the point
+    # named is the first one of the whole grid in C order
+    model = load(ZERO_2D.replace('alpha = "0"', f'alpha = "{alpha}"'))
+    ax, ay = collocation_grids(model, 7, 5)
+    grid = np.broadcast_arrays(*np.ix_(ax.theta, ax.cubature(2)[0].nodes, ay.cubature(2)[0].nodes))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = ~np.isfinite(model.alpha(*grid))
+    except DomainError as exc:
+        bad = np.broadcast_to(exc.where, grid[0].shape)
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    at = ", ".join(f"{v} = {p[first]:.17g}" for v, p in zip(("x", "xi", "sigma"), grid))
+    with pytest.raises(InvalidSample, match=re.escape(f"at {at}")):
+        assemble(model, 7, 5)
 
 
 def _held_arrays(obj):

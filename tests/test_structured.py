@@ -12,8 +12,10 @@ import scipy.linalg
 
 from popstab import structured
 from popstab.assembly import GeneratorMatrix, GeneratorOverflow, assemble, collocation_grids
+from popstab.grid import cheb_grid, interp_matrix
 from popstab.linalg import eigenvalues, eigenvector, norm_inf
 from popstab.model import builtin, load_model
+from popstab.quad import cc_weights
 from popstab.spectra import _dense_report, compute_spectrum, convergence_sweep, eigen_errors
 
 SEPARABLE_2D = [
@@ -111,6 +113,59 @@ def test_closing_rule_at_rank_above_one():
     assert counts == [np.count_nonzero(values.real > c) for c in lines]
     # Re z = 0 and the lines between the 1st/2nd, 2nd/3rd and 4th/5th
     assert [counts[i] for i in (0, 1, 2, 4)] == [0, 1, 3, 7]
+
+
+def _uncompressed_rows(model, axes, axis, oversample=2):
+    """The boundary row factor of ``axes[axis]`` with every kernel row
+    through the pipeline, as (n_other, nm): the kernel at the inner nodes of
+    the other axis and the whole cubature grid, weighted, interpolated (E_x^T
+    and E_y), differentiated (D_x^T and D_y), and solved with the other
+    axis's D."""
+    other = axes[1 - axis]
+    rules = [cc_weights(cheb_grid(ax.grid.a, ax.grid.b, oversample * ax.n)) for ax in axes]
+    (xi, sigma), (wx, wy) = zip(*((rule.nodes, rule.weights) for rule in rules))
+    coef = model.alpha if axis == 1 else model.beta
+    kern = coef(other.theta[:, None, None], xi[None, :, None], sigma[None, None, :])
+    rows = np.broadcast_to(kern, (other.n, xi.size, sigma.size)) * np.multiply.outer(wx, wy)
+    interps = [interp_matrix(ax.theta, rule.nodes) for ax, rule in zip(axes, rules)]
+    for mats in (interps, [ax.d for ax in axes]):
+        for k, a in enumerate(mats):
+            rows = np.moveaxis(np.tensordot(rows, a, (1 + k, 0)), -1, 1 + k)
+    return np.linalg.solve(other.d, rows.reshape(other.n, -1))
+
+
+@pytest.mark.parametrize("n, m", [(7, 5), (16, 16), (48, 48)])
+def test_boundary_factors_expand_to_the_uncompressed_rows(n, m):
+    for name in SEPARABLE_2D + ["nonproduct"]:
+        model = load_model(NONPRODUCT) if name == "nonproduct" else builtin(name)[0]
+        gen = assemble(model, n, m)
+        for axis, (c, wt) in enumerate(gen.boundary):
+            want = _uncompressed_rows(model, gen.axes, axis)
+            assert np.max(np.abs(c @ wt - want)) <= 1e-13 * np.max(np.abs(want)), (name, axis)
+            if name != "nonproduct":
+                # every builtin kernel has rank 1, but ex2_4's beta, which
+                # is 0 on its domain
+                assert len(wt) == int(want.any()), (name, axis)
+
+
+def test_joined_boundary_rank():
+    # the solver joins the two edges' factors: rank 1 on every builtin, and
+    # on the nonproduct file the rank the expanded rows had at n = 24
+    for name in SEPARABLE_2D:
+        for n in (N_MIN, 48):
+            solver = structured.StructuredSolver(assemble(builtin(name)[0], n))
+            assert len(solver.real.u) == 1, (name, n)
+    solver = structured.StructuredSolver(assemble(load_model(NONPRODUCT), 24))
+    assert len(solver.real.u) == 22
+
+
+def test_a_kernel_of_rank_0_keeps_the_structured_path():
+    gen = assemble(builtin("ex2_4")[0], 24)
+    (_, beta), (_, alpha) = gen.boundary
+    assert len(beta) == 0 and len(alpha) == 1
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    assert _close(report.abscissa, _dense_report(gen).eigenvalues[0].real)
 
 
 def _spy(monkeypatch, name):
@@ -280,16 +335,10 @@ def test_batched_solve_is_singular_where_trsyl_is():
 @pytest.mark.parametrize("n", [48, 64])
 def test_count_memory_stays_below_assembly(n):
     # the count's batches of Sylvester solves hold at most COUNT_BATCH
-    # n x m arrays: less than assembling the generator takes
+    # complex n x m arrays, and little beside them: 4.9 MB at n = 48 and
+    # 9.1 MB at n = 64, where 1.75 of those arrays are 6.2 MB and 11.0 MB
     model, _ = builtin("ex2_1")
-    assemble(model, n)  # warm up the axis cache
-    tracemalloc.start()
-    try:
-        gen = assemble(model, n)
-        assembly_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    solver = structured.StructuredSolver(gen)
+    solver = structured.StructuredSolver(assemble(model, n))
     tracemalloc.start()
     try:
         count = solver.count_right(-3.0)
@@ -297,7 +346,7 @@ def test_count_memory_stays_below_assembly(n):
     finally:
         tracemalloc.stop()
     assert count == 1
-    assert peak < assembly_peak
+    assert peak < 1.75 * structured.COUNT_BATCH * n * n * np.dtype(complex).itemsize
 
 
 def test_sweep_runs_arnoldi_once_per_degree(monkeypatch):
@@ -671,7 +720,7 @@ def test_pruned_norm_when_the_largest_bounds_cancel():
     ).ravel()
     sums = np.abs(dense).sum(axis=1)
     assert np.argsort(-bound, kind="stable").tolist().index(np.argmax(sums)) >= structured.NORM_CHUNK
-    got = structured._norm_inf(px, py, alpha.reshape(n, n, m), beta.reshape(m, n, m))
+    got = structured._norm_inf(px, py, (np.eye(n), alpha), (np.eye(m), beta))
     assert abs(got - want) <= 1e-15 * want
 
 
@@ -679,8 +728,8 @@ def test_non_finite_structured_norm_is_an_overflow():
     # finite factors whose row sums overflow
     model, _ = builtin("ex2_1")
     gen = assemble(model, N_MIN)
-    rows = tuple(np.full_like(r, 1e306) for r in gen.rows)
-    huge = GeneratorMatrix(gen.axes, gen.blocks, rows)
+    boundary = tuple((np.ones_like(c), np.full_like(wt, 1e306)) for c, wt in gen.boundary)
+    huge = GeneratorMatrix(gen.axes, gen.blocks, boundary)
     with pytest.raises(GeneratorOverflow):
         compute_spectrum(huge, k=1)
 
