@@ -67,9 +67,8 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve A X = B by pivoted LU, A given or as its lu_factor factors."""
-    factors = a if isinstance(a, tuple) else lu_factor(a)
+def lu_solve(factors, b) -> np.ndarray:
+    """Solve A X = B from the :func:`lu_factor` factors of A."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factors[0].shape[0]:
         raise ValueError("right-hand side rows must match the matrix")

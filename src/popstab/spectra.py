@@ -8,8 +8,8 @@ sweeps over the degree with log-log order fitting.
 
 Two paths compute eigenvalues.  The dense path computes all of them.  For
 k = 1 on a generator that :func:`structured.applies` to, the structured
-path computes only the rightmost ones, certified by a count, and takes the
-one nearest a reference from those when the count decides it, by
+path computes only the rightmost eigenpairs, certified by a count, and takes
+the one nearest a reference from those when the count decides it, by
 shift-invert otherwise, without a dense matrix; when it cannot solve or
 certify, the dense path runs instead.
 """
@@ -28,7 +28,7 @@ from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemb
 from .grid import interp_matrix
 from .linalg import NoConvergence, SingularMatrix, eigenvalues, eigenvector, norm_inf
 from .model import Model, NonpositiveVelocity, ReferenceEigenpair
-from .structured import StructuredSolver, Uncertified, applies
+from .structured import StructuredSolver, Uncertified, _closest, applies
 
 
 # The failures of one discretization: a sweep records them and goes on, the
@@ -58,10 +58,11 @@ class EigenReport:
     """The computed eigenvalues of a generator, sorted by descending real
     part (ties by descending imaginary part).
 
-    On the dense path (``solver`` None) these are all eigenvalues.  On the
+    On the dense path (``solver`` None) these are all eigenvalues, and no
+    eigenvector is stored: each call of :meth:`vector` computes one.  On the
     structured path they are those right of the line whose count certified
-    them, and ``solver`` holds the generator's :class:`StructuredSolver`.
-    No eigenvector is stored: each call of :meth:`vector` computes one.
+    them, and ``solver`` holds the generator's :class:`StructuredSolver`,
+    with the eigenvectors that refined them.
     """
 
     eigenvalues: np.ndarray
@@ -87,15 +88,12 @@ class EigenReport:
 
     def vector(self, index: int) -> np.ndarray:
         """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical
-        phase, computed on every call: by inverse iteration on the dense
-        path, from the null vector of K(lambda) on the structured one."""
-        lam = self.eigenvalues[index]
+        phase: on the dense path computed by inverse iteration on every
+        call, on the structured path the one whose refinement certified the
+        eigenvalue (``solver.vectors[index]``)."""
         if self.solver is not None:
-            try:
-                return self.solver.eigenvector(lam)
-            except Uncertified:
-                pass
-        return eigenvector(self.generator.matrix, lam, self.matrix_norm)
+            return self.solver.vectors[index].copy()
+        return eigenvector(self.generator.matrix, self.eigenvalues[index], self.matrix_norm)
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     certified the report proves every other eigenvalue to lie left of its
     line, so the nearest certified eigenvalue is the match when it is
     closer to the reference than Re ref.lam - line; otherwise the match
-    comes from shift-invert at the reference, with the same tie rule.  Its
-    eigenvector comes from K(lam); the dense path runs instead when either
+    comes from shift-invert at the reference, with the same tie rule, and
+    brings its refined eigenvector; the dense path runs instead when that
     fails.
     The eigenfunction is aligned with the reference by the complex scalar
     minimizing the weighted L2 distance on the tensor grid of the
@@ -189,23 +187,20 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
     """
     if ref is None:
         raise MissingReference("a reference eigenpair is required")
-    values = report.eigenvalues
-    idx = np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]
-    lam = complex(values[idx])
+    idx = _closest(report.eigenvalues, ref.lam)
+    lam, psi = complex(report.eigenvalues[idx]), None
     solver = report.solver
-    if solver is None:
-        psi = None if ref.phi is None else report.vector(idx)
-    else:
+    # on the structured path every eigenvalue outside the report lies at
+    # Re z <= solver.line, at least Re ref.lam - line from the reference
+    if solver is not None and not abs(lam - ref.lam) < ref.lam.real - solver.line:
         try:
-            # every eigenvalue outside the report lies at Re z <= solver.line,
-            # at least Re ref.lam - line from the reference
-            if not abs(lam - ref.lam) < ref.lam.real - solver.line:
-                lam = solver.nearest(ref.lam)
-            psi = None if ref.phi is None else solver.eigenvector(lam)
+            lam, psi = solver.nearest(ref.lam)
         except Uncertified:
             return eigen_errors(_dense_report(report.generator), ref)
+    elif ref.phi is not None:
+        psi = report.vector(idx)
     eps_lambda = float(abs(lam - ref.lam))
-    if psi is None:
+    if ref.phi is None:
         return lam, eps_lambda, float("nan")
     axes = report.generator.axes
     rules = [ax.cubature(2)[0] for ax in axes]

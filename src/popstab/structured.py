@@ -40,7 +40,8 @@ through its condition number, so each wanted Ritz value is then refined on
 G itself by two-sided Rayleigh quotient iteration (Parlett, Math. Comp.
 28(127), 1974), whose quotient y^T G x / y^T x is accurate to about
 eps kappa ||G||, as the dense path is, and is kept only if its backward
-error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps.
+error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps; that x
+is the eigenvector reported with the value.
 
 - :meth:`StructuredSolver.rightmost` runs it at sigma = 0 until the
   rightmost group of Ritz values converges, certifies that group by the
@@ -52,17 +53,19 @@ error ||G x - z x|| / ||G||inf (x of unit norm) is at most 64 eps.
   size there means the run stopped before it found every eigenvalue right
   of that line, and the line moves halfway toward the group, at most
   LINE_RETRIES times.  Only a count equal to the group's size certifies.
-  Then it refines the group, whose values must stay right of the line.
+  Then it refines the group, whose values must stay right of the line,
+  and keeps their eigenvectors in ``vectors``.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
   Ritz value nearest the shift converges, and refines that value, for a
-  reference that the certified eigenvalues do not decide.
-- :meth:`StructuredSolver.eigenvector` returns (L - lam I)^{-1} U k, with k
-  the null vector of K(lam).
+  reference that the certified eigenvalues do not decide; it returns the
+  refined eigenpair.
 
-Every failure (no convergence within the step caps, a Sylvester operator
-that ``trsyl``'s test finds near singular or a singular K other than at the
-end of a refinement, a count that does not certify, a refined value with a
-larger backward error or nearer another Ritz value than its own) raises
+A pivot of exactly 0 in K(z), z an eigenvalue of G, is raised to the floor
+of LAPACK's inverse iteration (:attr:`_Shift.lu`).  Every failure (no
+convergence within the step caps, a Sylvester operator that ``trsyl``'s test
+finds near singular other than at the end of a refinement, a count that does
+not certify, a refinement that takes no step or ends with a larger backward
+error or nearer another Ritz value than its own) raises
 :class:`Uncertified`; the caller then takes the dense path.  No nm x nm
 array is formed.  LAPACK is called through scipy alone, as on the dense
 path, and the complex frame and the count's closing arc take no complex
@@ -166,8 +169,8 @@ class Uncertified(ArithmeticError):
 
 
 class _Singular(Uncertified):
-    """A solve at the shift z is singular: z is an eigenvalue of L (the
-    Sylvester operator) or of G (K(z)) to working precision."""
+    """The Sylvester operator at the shift z is singular: z is an eigenvalue
+    of L to working precision."""
 
 
 def applies(generator: GeneratorMatrix) -> bool:
@@ -178,6 +181,12 @@ def applies(generator: GeneratorMatrix) -> bool:
         and generator.mu is None
         and generator.dim >= STRUCTURED_MIN_DIM
     )
+
+
+def _closest(lam: np.ndarray, target: complex) -> int:
+    """The index of the value of lam nearest target; on a tie, the one with
+    the larger real, then imaginary, part."""
+    return int(np.lexsort((-lam.imag, -lam.real, np.abs(lam - target)))[0])
 
 
 def _group(lam: np.ndarray) -> slice:
@@ -360,12 +369,13 @@ class _Shift:
 
     @functools.cached_property
     def lu(self) -> tuple:
-        """The LU factors of K(z)."""
+        """The LU factors of K(z), a pivot of exactly 0 (getrf's info > 0)
+        raised to eps max(1, ||K||inf): the pivot floor of LAPACK's xHSEIN
+        inverse iteration, as :func:`linalg.eigenvector` applies it."""
         lu, piv, info = self.getrf(self.k)
-        # a nearly singular K is what shift-invert near an eigenvalue gives;
-        # getrf reports an exactly 0 pivot
         if info > 0:
-            raise _Singular("the capacitance is singular at the shift")
+            zero = np.flatnonzero(lu.diagonal() == 0)
+            lu[zero, zero] = EPS * max(1.0, np.abs(self.k).sum(axis=1).max())
         return lu, piv
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -431,8 +441,8 @@ class StructuredSolver:
             + scipy.linalg.svdvals(py, check_finite=False)[0]
             + 2 * np.linalg.norm(self.real.u) * np.linalg.norm(self.real.w)
         )
-        # the line Re z = c of the count that certified rightmost()
-        self.line = None
+        # rightmost()'s certifying line Re z = c and its values' eigenvectors
+        self.line = self.vectors = None
 
     @functools.cached_property
     @_quiet
@@ -490,25 +500,27 @@ class StructuredSolver:
                 return lam[order]
         raise Uncertified(f"no convergence in {steps} Arnoldi steps")
 
-    def _polish(self, lam: np.ndarray, i: int) -> complex:
+    def _polish(self, lam: np.ndarray, i: int) -> tuple[complex, np.ndarray]:
         """The Ritz value lam[i], lam[i].imag >= 0, refined by two-sided
-        Rayleigh quotient iteration on G: x and y run inverse iteration with
-        G - zI and G^T - zI from fixed-seed starts, and the next shift is
-        y^T G x / y^T x, with G x = L x + U W^T x formed directly.  A real
-        value stays real.  Raises :class:`Uncertified` when the iteration
-        does not settle within POLISH_STEPS steps, when the last step's
+        Rayleigh quotient iteration on G, and its right eigenvector: x and y
+        run inverse iteration with G - zI and G^T - zI from fixed-seed
+        starts, and the next shift is y^T G x / y^T x, with
+        G x = L x + U W^T x formed directly.  A real value stays real.  The
+        eigenvector is the last step's x on the grid, Z_x x Z_y^T, at unit
+        norm and canonical phase, as :func:`linalg.eigenvector` gives it.
+        Raises :class:`Uncertified` when the iteration does not settle
+        within POLISH_STEPS steps, when it takes no step or the last step's
         backward error ||G x - z x|| / ||G||inf exceeds 64 eps, or when the
         result lies nearer another Ritz value than lam[i]."""
         frame, z = self._frame(complex(lam[i]))
         x, y = np.random.default_rng(0).standard_normal((2, *self.shape))
-        step, backward = math.inf, 0.0
+        step, backward = math.inf, math.inf
         for _ in range(POLISH_STEPS):
             try:
                 shift = self._shift(complex(z))
-                x = shift.apply(x)
-                y = shift.apply_transpose(y)
+                x, y = shift.apply(x), shift.apply_transpose(y)
             except _Singular:
-                # the solves cannot tell z from an eigenvalue of L or of G:
+                # the Sylvester solves cannot tell z from an eigenvalue of L:
                 # this iteration gets no closer
                 break
             x /= np.linalg.norm(x)
@@ -530,17 +542,17 @@ class StructuredSolver:
         distance = np.abs(lam - z)
         if np.count_nonzero(distance <= distance[i]) > 1:
             raise Uncertified(f"{lam[i]} refines to {z}, nearer another Ritz value")
-        return complex(z)
+        return complex(z), _canonicalize((frame.zx @ x @ frame.zy.T).ravel())
 
-    def _refine(self, lam: np.ndarray, wanted: slice) -> np.ndarray:
-        """lam[wanted], each refined by :meth:`_polish`; a value in the lower
-        half-plane is the conjugate of its refined mirror image, which
+    def _refine(self, lam: np.ndarray, wanted: slice) -> tuple[np.ndarray, np.ndarray]:
+        """lam[wanted], each refined by :meth:`_polish`, and their
+        eigenvectors, one per row; a value in the lower half-plane and its
+        vector are the conjugates of its refined mirror image's, which
         lam[wanted] holds too."""
         indices = range(len(lam))[wanted]
         upper = {lam[i]: self._polish(lam, i) for i in indices if lam[i].imag >= 0}
-        return np.array(
-            [upper[v] if v.imag >= 0 else upper[v.conj()].conjugate() for v in lam[wanted]]
-        )
+        pairs = [upper[v] if v.imag >= 0 else map(np.conj, upper[v.conj()]) for v in lam[wanted]]
+        return tuple(map(np.array, zip(*pairs)))
 
     @_quiet
     def rightmost(self) -> np.ndarray:
@@ -550,7 +562,7 @@ class StructuredSolver:
         of c.  c lies halfway to the next Ritz value (converged or not); while
         the count exceeds the group's size, at most LINE_RETRIES times, c
         moves halfway toward the group and the count is taken again.  Sets
-        ``line`` to c."""
+        ``line`` to c and ``vectors`` to their eigenvectors, one row each."""
         lam = self._ritz(0.0)
         wanted = _group(lam)
         size = wanted.stop
@@ -567,11 +579,12 @@ class StructuredSolver:
             count = self.count_right(c)
         if count != size:
             raise Uncertified(f"{count} eigenvalues right of {c}, but {size} Ritz values")
-        group = self._refine(lam, wanted)
+        group, vectors = self._refine(lam, wanted)
         if not (group.real > c).all():
             raise Uncertified(f"a refined eigenvalue lies left of {c}")
-        self.line = c
-        return group[np.lexsort((-group.imag, -group.real))]
+        order = np.lexsort((-group.imag, -group.real))
+        self.line, self.vectors = c, vectors[order]
+        return group[order]
 
     @_quiet
     def count_right(self, c: float) -> int:
@@ -663,28 +676,17 @@ class StructuredSolver:
         return round((half + closing) / math.pi)
 
     @_quiet
-    def nearest(self, sigma: float) -> complex:
-        """The eigenvalue of G nearest the real shift sigma; on a tie, the
-        one with the larger real, then imaginary, part."""
+    def nearest(self, sigma: float) -> tuple[complex, np.ndarray]:
+        """The eigenpair of G whose eigenvalue is nearest the real shift
+        sigma (tie rule of :func:`_closest`), as :meth:`_polish` gives it."""
 
         def pick(lam):
-            i = np.lexsort((-lam.imag, -lam.real, np.abs(lam - sigma)))[0]
+            i = _closest(lam, sigma)
             return slice(i, i + 1)
 
         lam = self._ritz(sigma, pick)
-        return complex(self._refine(lam, pick(lam))[0])
-
-    @_quiet
-    def eigenvector(self, lam: complex) -> np.ndarray:
-        """The right eigenvector of the eigenvalue lam of G, as
-        :func:`linalg.eigenvector` gives it: unit norm, canonical phase."""
-        shift = self._shift(complex(lam))
-        # the right null vector of K(lam)
-        k = np.conj(scipy.linalg.svd(shift.k)[2][-1])
-        x = (shift.frame.zx @ (k @ shift.zu).reshape(self.shape) @ shift.frame.zy.T).ravel()
-        if not (np.isfinite(x).all() and x.any()):
-            raise Uncertified(f"no eigenvector of {lam} from K")
-        return _canonicalize(x)
+        values, vectors = self._refine(lam, pick(lam))
+        return complex(values[0]), vectors[0]
 
 
 def _norm_inf(px, py, alpha, beta) -> float:

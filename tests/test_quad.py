@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from popstab.grid import cheb_grid, diff_ops
-from popstab.linalg import lu_solve
+from popstab.linalg import lu_factor, lu_solve
 from popstab.model import _norm_constant
 from popstab.quad import cc_weights
 
@@ -116,7 +116,7 @@ def test_cubature_shape_mismatch():
 def test_cumulative_of_ones():
     g = cheb_grid(0.0, 1.0, 2)
     ops = diff_ops(g)
-    got = lu_solve(ops.trimmed, np.ones(2))
+    got = lu_solve(lu_factor(ops.trimmed), np.ones(2))
     assert np.max(np.abs(got - np.array([0.5, 1.0]))) <= 1e-13
 
 
@@ -124,7 +124,7 @@ def test_cumulative_polynomial_exactness():
     g = cheb_grid(0.0, 1.0, 6)
     ops = diff_ops(g)
     inner = g.nodes[1:]
-    got = lu_solve(ops.trimmed, 2.0 * inner)
+    got = lu_solve(lu_factor(ops.trimmed), 2.0 * inner)
     assert np.max(np.abs(got - inner**2)) <= 1e-12
 
 
@@ -132,7 +132,7 @@ def test_cumulative_analytic_antiderivative():
     g = cheb_grid(0.0, np.pi / 2, 12)
     ops = diff_ops(g)
     inner = g.nodes[1:]
-    got = lu_solve(ops.trimmed, np.cos(inner))
+    got = lu_solve(lu_factor(ops.trimmed), np.cos(inner))
     assert np.max(np.abs(got - np.sin(inner))) <= 1e-9
 
 
@@ -140,8 +140,8 @@ def test_double_cumulative_of_one():
     gx = cheb_grid(0.3, 2.1, 7)
     gy = cheb_grid(-1.0, 0.5, 5)
     dx, dy = diff_ops(gx), diff_ops(gy)
-    along_x = lu_solve(dx.trimmed, np.ones((7, 5)))
-    both = lu_solve(dy.trimmed, along_x.T).T
+    along_x = lu_solve(lu_factor(dx.trimmed), np.ones((7, 5)))
+    both = lu_solve(lu_factor(dy.trimmed), along_x.T).T
     expected = np.outer(gx.nodes[1:] - 0.3, gy.nodes[1:] + 1.0)
     assert np.max(np.abs(both - expected)) <= 1e-11
 
@@ -149,4 +149,4 @@ def test_double_cumulative_of_one():
 def test_cumulative_shape_mismatch():
     ops = diff_ops(cheb_grid(0.0, 1.0, 4))
     with pytest.raises(ValueError):
-        lu_solve(ops.trimmed, np.ones(5))
+        lu_solve(lu_factor(ops.trimmed), np.ones(5))

@@ -1,5 +1,6 @@
 """The structured path (popstab.structured) against the dense one."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -65,7 +66,8 @@ def test_structured_path_agrees_with_dense(name, n):
     assert abs(eps_lambda - abs(want - ref.lam)) <= 1e-12 * max(1.0, abs(want))
     if want.imag == 0:
         assert lam.imag == 0.0 and not np.signbit(lam.imag)
-    psi = solver.eigenvector(lam)
+    # the refinement's eigenvector of the matched (certified) eigenvalue
+    psi = report.vector(list(report.eigenvalues).index(lam))
     oracle = eigenvector(gen.matrix, want, dense.matrix_norm)
     phase = np.vdot(oracle, psi)
     assert np.max(np.abs(psi - phase / abs(phase) * oracle)) <= 1e-12
@@ -75,14 +77,15 @@ def test_structured_path_agrees_with_dense(name, n):
 @pytest.mark.parametrize("name", ["ex2_1", "velocity", "ex1_4"])
 def test_structured_eigenvector_of_a_complex_eigenvalue(name):
     # a complex eigenvalue goes through the complex Schur coordinates and
-    # their back-transform to the real ones
+    # their back-transform to the real ones: the refinement from the dense
+    # eigenvalue returns its eigenvector
     gen = assemble(builtin(name)[0], 16)
     solver = compute_spectrum(gen, k=1).solver
     dense = _dense_report(gen)
     upper = dense.eigenvalues[dense.eigenvalues.imag > 0][:2]
     assert len(upper) == 2
     for lam in upper:
-        psi = solver.eigenvector(lam)
+        _, psi = solver._polish(np.array([lam]), 0)
         oracle = eigenvector(gen.matrix, lam, dense.matrix_norm)
         phase = np.vdot(oracle, psi)
         assert np.max(np.abs(psi - phase / abs(phase) * oracle)) <= 1e-12
@@ -407,7 +410,7 @@ def test_ill_conditioned_reference_is_refined_on_the_structured_path(monkeypatch
     solver = structured.StructuredSolver(gen)
     with monkeypatch.context() as patch:
         _forbid_dense(patch)
-        lam = solver.nearest(-20.0)
+        lam, _ = solver.nearest(-20.0)
     values, left, right = scipy.linalg.eig(gen.matrix, left=True)
     i = np.argmin(np.abs(values - lam))
     kappa = 1 / abs(np.vdot(left[:, i], right[:, i]))
@@ -422,7 +425,7 @@ def test_reference_at_an_eigenvalue_of_the_kronecker_sum(monkeypatch):
     solver = structured.StructuredSolver(assemble(_reference_model(-20.0), 64))
     with monkeypatch.context() as patch:
         _forbid_dense(patch)
-        lam = solver.nearest(-20.0)
+        lam, _ = solver.nearest(-20.0)
     tx, ty = solver.complex.tx, solver.complex.ty
     kronecker_sum = np.add.outer(-tx.diagonal(), -ty.diagonal())
     assert np.min(np.abs(kronecker_sum - lam)) <= 1e-12 * abs(lam)
@@ -456,7 +459,7 @@ def test_refinement_returns_an_eigenvalue_or_raises(c):
     raised = []
     for omega in (7.5, 13.9, 20.2, 26.55, 32.85, 39.15):
         try:
-            z = solver._polish(np.array([complex(c, omega)]), 0)
+            z, _ = solver._polish(np.array([complex(c, omega)]), 0)
         except structured.Uncertified as exc:
             assert "backward error" in str(exc)
             raised.append(omega)
@@ -504,11 +507,63 @@ def test_refined_conjugate_pair_is_exact():
     solver = structured.StructuredSolver(gen)
     # the run stops once the pair has converged too
     ritz = solver._ritz(0.0, lambda lam: slice(0, 3))
-    pair = solver._refine(ritz, slice(1, 3))
+    pair, vectors = solver._refine(ritz, slice(1, 3))
     assert pair[0].imag > 0 and pair[1] == np.conj(pair[0])
+    assert np.array_equal(vectors[1], np.conj(vectors[0]))
     values = _dense_report(gen).eigenvalues
     want = values[np.argmin(np.abs(values - pair[0]))]
     assert _close(pair[0], want)
+
+
+def test_refinement_through_an_exactly_singular_capacitance():
+    # ex1_3 at n = 12: K is exactly 0 at the rightmost Ritz value, so the
+    # refinement's first solve floors a pivot of 0 and still takes its step
+    gen = assemble(builtin("ex1_3")[0], 12)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    solver = report.solver
+    assert not solver._shift(solver._ritz(0.0)[0]).k.any()
+    dense = _dense_report(gen)
+    assert _close(report.abscissa, dense.abscissa)
+    psi = report.vector(0)
+    oracle = eigenvector(gen.matrix, dense.eigenvalues[0], dense.matrix_norm)
+    phase = np.vdot(oracle, psi)
+    assert np.max(np.abs(psi - phase / abs(phase) * oracle)) <= 1e-12
+
+
+def test_refined_value_left_of_the_line_falls_back_to_dense(monkeypatch):
+    gen = assemble(builtin("ex2_1")[0], N_MIN)
+    refine = structured.StructuredSolver._refine
+
+    def leftward(self, lam, wanted):
+        values, vectors = refine(self, lam, wanted)
+        return values - 100.0, vectors
+
+    monkeypatch.setattr(structured.StructuredSolver, "_refine", leftward)
+    with pytest.raises(structured.Uncertified, match="left of"):
+        structured.StructuredSolver(gen).rightmost()
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "dense"
+    assert np.array_equal(report.eigenvalues, _sorted(eigenvalues(gen.matrix)))
+
+
+def test_uncertified_shift_invert_gives_the_dense_errors(monkeypatch):
+    # ex2_1's eigenfunction with a reference value left of the certifying
+    # line, so shift-invert decides the match; when it cannot certify, every
+    # error is the dense path's
+    model, ref = builtin("ex2_1")
+    ref = dataclasses.replace(ref, lam=-7.0)
+    gen = assemble(model, N_MIN)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "structured" and ref.lam < report.solver.line
+
+    def refuse(self, sigma):
+        raise structured.Uncertified("refused")
+
+    monkeypatch.setattr(structured.StructuredSolver, "nearest", refuse)
+    got = eigen_errors(report, ref)
+    assert got == eigen_errors(_dense_report(gen), ref)
+    assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("z", [-3.0, complex(-3.0, 2.0)], ids=["real", "complex"])
