@@ -49,10 +49,8 @@ is the eigenvector reported with the value.
   eigenvalues right of Re z = c is N_L(c), the eigenvalues of L there, plus
   the winding number of det K along the line, proven beyond |z| = ``tail``
   and sampled below it in batches (:meth:`StructuredSolver._winding`).
-  The line lies halfway to the next Ritz value; a count above the group's
-  size there means the run stopped before it found every eigenvalue right
-  of that line, and the line moves halfway toward the group, at most
-  LINE_RETRIES times.  Only a count equal to the group's size certifies.
+  The line lies a quarter of the way to the next Ritz value, and one count
+  there certifies only when it equals the group's size.
   Then it refines the group, whose values must stay right of the line,
   and keeps their eigenvectors in ``vectors``.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
@@ -95,7 +93,7 @@ EPS = np.finfo(float).eps
 #
 #   n =            10    11    12    13    14    15
 #   ex1_1        0.99  0.71  0.62  0.41  0.34  0.28
-#   ex1_2        0.72  0.84  0.91  0.46  0.64  0.26
+#   ex1_2        0.93  0.69  0.47  0.42  0.32  0.29
 #   ex1_3        1.08  0.80  0.67  0.48  0.36  0.39
 #   ex1_4        1.12  0.93  0.64  0.45  0.35  0.34
 #   ex2_1        0.97  0.62  0.57  0.42  0.32  0.29
@@ -106,13 +104,12 @@ EPS = np.finfo(float).eps
 #   scan h = -1  1.04  0.82  0.59  0.42  0.32  0.30
 #   scan h = -3  1.01  0.89  0.59  0.45  0.35  0.30
 #
-# From n = 11 on every model but velocity is faster structured (ex1_2 at 12
-# and 14 counts twice, see LINE_RETRIES); at n = 10 dense is about as fast
-# or faster on most.  velocity crosses over at n = 12: in two runs of 41
-# alternating pairs there it took 1.06 and 0.97 of the dense time (faster
-# in 19 and 34 of 41), because its Arnoldi run takes 27 steps, against 9-17
-# on the others, and the Hessenberg eigensolve at every step is about half
-# of it.
+# ex1_2's row is the median of 3 such runs.  From n = 11 on every model but
+# velocity is faster structured; at n = 10 dense is about as fast or faster
+# on most.  velocity crosses over at n = 12: in two runs of 41 alternating
+# pairs there it took 1.06 and 0.97 of the dense time (faster in 19 and 34
+# of 41), because its Arnoldi run takes 27 steps, against 9-17 on the
+# others, and the Hessenberg eigensolve at every step is about half of it.
 STRUCTURED_MIN_DIM = 144
 
 # The Arnoldi run on (G - sigma I)^{-1}: at most ARNOLDI_STEPS operator
@@ -156,12 +153,6 @@ SYLVESTER_LEAF = 12
 # Ritz values whose real parts lie within this fraction of max(1, |re|) of
 # the rightmost one count as its group.
 GROUP_RTOL = 1e-8
-# A count above the group's size on the line halfway to the next Ritz value
-# means the Arnoldi run stopped before it found some eigenvalues right of
-# that line (ex1_2 at n = 12, 13, 14, 44 and 57); the line moves halfway
-# toward the group at most this many times.  One move certifies each of
-# those.
-LINE_RETRIES = 2
 
 
 class Uncertified(ArithmeticError):
@@ -559,24 +550,18 @@ class StructuredSolver:
         """The eigenvalues of G right of a line Re z = c, rightmost first:
         the rightmost group of Ritz values at sigma = 0, certified by a count
         right of c that equals its size, and then refined; each stays right
-        of c.  c lies halfway to the next Ritz value (converged or not); while
-        the count exceeds the group's size, at most LINE_RETRIES times, c
-        moves halfway toward the group and the count is taken again.  Sets
-        ``line`` to c and ``vectors`` to their eigenvectors, one row each."""
+        of c.  c lies a quarter of the way from the group to the next Ritz
+        value (converged or not), and the count is taken once.  Sets ``line``
+        to c and ``vectors`` to their eigenvectors, one row each."""
         lam = self._ritz(0.0)
         wanted = _group(lam)
         size = wanted.stop
         if size == len(lam):
             raise Uncertified("no gap after the rightmost Ritz values")
-        c = 0.5 * (lam[size - 1].real + lam[size].real)
+        # near the group: the count only falls as c moves toward it, so the
+        # eigenvalues that the run stopped before finding seldom lie right of c
+        c = 0.75 * lam[size - 1].real + 0.25 * lam[size].real
         count = self.count_right(c)
-        # eigenvalues that no Ritz value holds lie right of c: the run
-        # stopped before it found them, so the line moves toward the group
-        for _ in range(LINE_RETRIES):
-            if count <= size:
-                break
-            c = 0.5 * (c + lam[size - 1].real)
-            count = self.count_right(c)
         if count != size:
             raise Uncertified(f"{count} eigenvalues right of {c}, but {size} Ritz values")
         group, vectors = self._refine(lam, wanted)

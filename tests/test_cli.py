@@ -381,8 +381,44 @@ _DEEP_PARENS = "(" * 400 + "x" + ")" * 400
             ["converge", "--n-min", "2", "--n-max", "4"],
             "ref_lambda must be finite, got inf",
         ),
+        (
+            _FILE_1D_TEXT.replace("x_max = 1", "x_max = abc").encode(),
+            ["spectrum", "--n", "4"],
+            "x_max must be a number, got 'abc'",
+        ),
+        (
+            (_FILE_1D_TEXT + 'ref_phi = "x"\n').encode(),
+            ["spectrum", "--n", "4"],
+            "ref_phi given without ref_lambda",
+        ),
+        (
+            _FILE_1D_TEXT.replace('mu = "1"', 'mu = ""').encode(),
+            ["spectrum", "--n", "4"],
+            "line 3: empty value for 'mu'",
+        ),
+        (
+            _FILE_1D_TEXT.replace('mu = "1"', 'mu = "1.2.3"').encode(),
+            ["spectrum", "--n", "4"],
+            "bad number '1.2.3' (at position 0)",
+        ),
+        (
+            _FILE_1D_TEXT.replace('mu = "1"', 'mu = "x $ 2"').encode(),
+            ["spectrum", "--n", "4"],
+            "unexpected character '$' (at position 2)",
+        ),
     ],
-    ids=["long-sum", "deep-parentheses", "not-utf8", "nan-ref-lambda", "inf-ref-lambda"],
+    ids=[
+        "long-sum",
+        "deep-parentheses",
+        "not-utf8",
+        "nan-ref-lambda",
+        "inf-ref-lambda",
+        "x-max-not-a-number",
+        "ref-phi-without-ref-lambda",
+        "empty-value",
+        "bad-number",
+        "unexpected-character",
+    ],
 )
 def test_bad_model_files_exit_two(tmp_path, capsys, content, argv, expected):
     path = tmp_path / "model.txt"

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import numpy as np
 import popstab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(popstab.__file__).resolve().parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +26,30 @@ def test_readme_library_example_runs(capsys):
     psi, psi_top = names["psi"], names["psi_top"]
     phase = np.vdot(psi, psi_top)
     assert np.max(np.abs(psi_top - phase / abs(phase) * psi)) <= 1e-12
+
+
+def test_every_module_constant_is_read():
+    # an upper-case name assigned at module level that no module of the
+    # package reads, as a name or as an attribute, is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    constants = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                constants |= {(module, t.id) for t in names if isinstance(t, ast.Name) and t.id.isupper()}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    assert len(constants) > 40
+    assert sorted(c for c in constants if c[1] not in reads) == []

@@ -171,6 +171,20 @@ def test_a_kernel_of_rank_0_keeps_the_structured_path():
     assert _close(report.abscissa, _dense_report(gen).eigenvalues[0].real)
 
 
+def test_a_zero_boundary_term_takes_the_dense_path():
+    # both kernels 0: the solver has no boundary term to join
+    model = load_model(
+        'x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\nmu = "1"\nalpha = "0"\nbeta = "0"\n'
+    )
+    gen = assemble(model, N_MIN)
+    assert gen.dim == structured.STRUCTURED_MIN_DIM and structured.applies(gen)
+    with pytest.raises(structured.Uncertified, match="the boundary term is 0"):
+        structured.StructuredSolver(gen)
+    report = compute_spectrum(gen, k=1)
+    assert report.path == "dense"
+    assert np.array_equal(report.eigenvalues, _dense_report(gen).eigenvalues)
+
+
 def _spy(monkeypatch, name):
     """Record the arguments of each call of a StructuredSolver method."""
     calls = []
@@ -355,12 +369,15 @@ def test_count_memory_stays_below_assembly(n):
 def test_sweep_runs_arnoldi_once_per_degree(monkeypatch):
     model, _ = builtin("ex2_1")
     ritz = _spy(monkeypatch, "_ritz")
+    counts = _spy(monkeypatch, "count_right")
     shifts = _spy(monkeypatch, "_shift")
     batches = _spy(monkeypatch, "_capacitances")
     degrees = [24, 32, 40, 48]
     records = convergence_sweep(model, degrees)
     assert all(record.error is None for record in records)
     assert ritz == [(0.0,)] * len(degrees)
+    # one count certifies each degree
+    assert len(counts) == len(degrees)
     samples = [z for (z,) in shifts] + [z for (zs,) in batches for z in zs]
     assert all(z.imag >= 0 for z in samples)
     # the certified eigenvalue is the match: lambda_re is the abscissa
@@ -368,7 +385,7 @@ def test_sweep_runs_arnoldi_once_per_degree(monkeypatch):
 
 
 def _reference_model(ref_lambda):
-    # ex2_1's coefficients; its certifying line lies near -3
+    # ex2_1's coefficients; its certifying line lies near -2
     return load_model(
         "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 2\nmu = \"1\"\n"
         'alpha = "x^2 * abs(x) * (5/8)"\nbeta = "y^2 * abs(y) * (5/8)"\n'
@@ -470,8 +487,8 @@ def test_refinement_returns_an_eigenvalue_or_raises(c):
 
 def test_count_refuses_ritz_values_that_miss_an_eigenvalue():
     # ex1_2 at n = 12: the Arnoldi run at 0 stops at -1 and -21.90 +- 39.08i,
-    # but -9.962 +- 28.570i lie right of the line halfway between them; the
-    # line then moves halfway toward -1, where the count certifies
+    # but -9.962 +- 28.570i lie right of the line halfway between them; they
+    # lie left of the line a quarter of the way, where the count certifies
     gen = assemble(builtin("ex1_2")[0], 12)
     solver = structured.StructuredSolver(gen)
     ritz = solver._ritz(0.0)
@@ -637,15 +654,16 @@ def test_smallest_structured_dimension_takes_the_structured_path(monkeypatch, na
     assert _close(report.abscissa, _dense_report(gen).abscissa)
 
 
-@pytest.mark.parametrize("n", [12, 14, 44])
+@pytest.mark.parametrize("n", [12, 14, 44, 57])
 def test_count_certifies_on_a_line_nearer_the_group(monkeypatch, n):
-    # ex1_2's count exceeds 1 on the line halfway to the next Ritz value
-    # (test_count_refuses_ritz_values_that_miss_an_eigenvalue); a line nearer
-    # -1 certifies it
+    # ex1_2's count exceeds 1 on the line halfway to the next Ritz value (3,
+    # and 5 at n = 57; test_count_refuses_ritz_values_that_miss_an_eigenvalue);
+    # one count on the line a quarter of the way certifies it
     model, ref = builtin("ex1_2")
     _forbid_dense(monkeypatch)
+    counts = _spy(monkeypatch, "count_right")
     report = compute_spectrum(assemble(model, n), k=1)
-    assert report.path == "structured"
+    assert report.path == "structured" and len(counts) == 1
     assert len(report.eigenvalues) == 1 and _close(report.abscissa, ref.lam)
 
 
