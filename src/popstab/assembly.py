@@ -34,16 +34,19 @@ grid), as the boundary row sees it, is found by a fixed-seed randomized
 range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011) before
 anything is broadcast onto the cubature grid.  Only its r rows are weighted
 and pass through E D (:meth:`Axis.derivative`) to give W^T; C is the
-cumulative integral of the basis along the other axis, and the factor is
-cut at singular values below RANK_RTOL.  Every nonzero builtin kernel has
-rank 1.
+cumulative integral of the basis along the other axis.  The rank of the
+boundary term is decided once, here: the edges' factors are stacked,
+alpha's rows first, as [C_a 0; 0 C_b] [W_a^T; W_b^T], and cut at singular
+values below RANK_RTOL (:func:`_truncate`), so that every edge's pair
+shares one W^T, which the dense matrix and the structured solver both read.
+The boundary term of every builtin has rank 1.
 
 A :class:`GeneratorMatrix` keeps these factors: the blocks P_k, the pair
 (C, W^T) of each axis, and the samples of a mu that is not separable.
 Assembly forms no nm x nm array and no row factor of n_other x nm.  The
 dense matrix is built from the factors on first use, and is then the only
 nm x nm array (with the whole mortality block while it is subtracted): each
-P_k is written into a strided view of the diagonal blocks and each expanded
+P_k is added through an einsum view of the diagonal blocks and each expanded
 row factor is added through a broadcast view of the matrix.  Non-finite
 factors, a cubature whose terms sum in absolute value beyond the float range
 (the rounding error of its row is then unbounded), or a non-finite entry of
@@ -63,10 +66,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import as_strided
 
 from .expr import DomainError
 from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
@@ -158,8 +161,9 @@ class GeneratorMatrix:
     as the factors it is made of.
 
     ``blocks`` holds one block P_k = diag(g_k) D_k + M_k per axis, and
-    ``boundary`` the boundary row factor of each axis as the pair (C, W^T)
-    of :func:`_boundary_rows`, compressed to the rank of its kernel;
+    ``boundary`` the boundary row factor of each axis as the pair (C, W^T),
+    cut once to the rank of the whole boundary term: every axis holds the
+    same W^T (r x dim), and C has a row per inner node of the other axis;
     ``mu`` holds the samples of a mu that is not separable (then every M_k
     is 0), else None.  ``rows`` expands the row factors and ``matrix`` is
     built from the factors on first use.  Entries are indexed by tuples of
@@ -285,8 +289,8 @@ def _mortality_block(mu: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
 # The inflow kernel across the left edge of each axis.
 _KERNELS = ("beta", "alpha")
 
-# Singular values of a boundary row factor below RANK_RTOL of the largest
-# are dropped (:func:`_truncate`).  Its range is sketched first, from
+# Singular values of the boundary term below RANK_RTOL of the largest are
+# dropped (:func:`_truncate`).  Its range is sketched first, from
 # SKETCH_SAMPLES columns on, keeping the directions above SKETCH_RTOL, a
 # quarter of the cut, for the spread of a random sketch's singular values.
 # The sketch's rounding stays below it: on ex1_3 (rank 1) at n = 16..128 the
@@ -307,9 +311,10 @@ def _along(t: np.ndarray, mats) -> np.ndarray:
 
 def _compress(a: np.ndarray, sketch, pipeline, integrate) -> tuple[np.ndarray, np.ndarray]:
     """The row factor (C, W^T) of the kernel with unfolding ``a`` (rows x
-    cols): C W^T = integrate(a) pipeline = V up to the singular values that
-    :func:`_truncate` cuts, C = integrate(Q') and W^T = pipeline(B) for
-    Q' B = a on the range that V sees.
+    cols): C W^T = integrate(a) pipeline = V on the range that the sketch
+    keeps, C = integrate(Q') and W^T = pipeline(B) for Q' B = a on the range
+    that V sees.  It is not cut here: :func:`_generator` cuts the factors of
+    all edges at once.
 
     ``pipeline(b)`` maps rows of ``a`` to rows of the generator,
     ``integrate(q)`` takes the cumulative integral along the other axis, and
@@ -349,7 +354,7 @@ def _compress(a: np.ndarray, sketch, pipeline, integrate) -> tuple[np.ndarray, n
     # each row of B of largest entry 1: a kernel of rank 1 that is constant
     # on the cubature grid gives B = +-1, the same row for both edges
     size = np.abs(b).max(axis=1)
-    return _truncate(integrate(q * size), pipeline(b / size[:, None]))
+    return integrate(q * size), pipeline(b / size[:, None])
 
 
 def _truncate(c: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +386,7 @@ def _boundary_rows(
     integrated against the derivative of the interpolant at the cubature
     nodes (:meth:`Axis.derivative`), W^T = (B w) (E_x D_x (x) E_y D_y), one
     axis at a time.  C then takes the cumulative integral along the other
-    axis, and :func:`_truncate` cuts the factor to its rank.
+    axis; :func:`_generator` cuts the edges' factors together.
     """
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
@@ -432,25 +437,17 @@ def _velocity_samples(coef, nodes, name: str) -> np.ndarray:
     return np.broadcast_to(values, nodes.shape)
 
 
-def _blocks(lifted: np.ndarray, k: int) -> np.ndarray:
-    """The view of the [i, ..., i', ...] array ``lifted`` where every index
-    but the k-th equals its primed copy, as [other indices..., i_k, i_k']."""
-    half = lifted.ndim // 2
-    shape, strides = lifted.shape, lifted.strides
-    others = [j for j in range(half) if j != k]
-    return as_strided(
-        lifted,
-        [shape[j] for j in others] + [shape[k], shape[k]],
-        [strides[j] + strides[half + j] for j in others] + [strides[k], strides[half + k]],
-    )
-
-
 def _add_lifts(matrix: np.ndarray, blocks) -> None:
     """Add the Kronecker lift of each per-axis block (one per axis, in axis
-    order) to the square matrix, in place."""
+    order) to the square matrix, in place: block k goes into the writeable
+    einsum view of the [i, ..., i', ...] array where every index but the
+    k-th equals its primed copy, as [other indices..., i_k, i_k']."""
     lifted = matrix.reshape([b.shape[0] for b in blocks] * 2)
+    index = "abcdefghijklmnopqrstuvwxy"[: len(blocks)]
     for k, b in enumerate(blocks):
-        _blocks(lifted, k)[...] += b
+        others = index[:k] + index[k + 1 :]
+        view = np.einsum(f"{index}{index[:k]}z{index[k + 1:]}->{others}{index[k]}z", lifted)
+        view += b
 
 
 def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> GeneratorMatrix:
@@ -468,13 +465,20 @@ def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> Gener
         blocks = tuple(g * ax.d + m for ax, g, m in zip(axes, velocities, parts))
         # the last axis (alpha) is sampled first: when both kernels have an
         # invalid sample, the error names alpha
-        last_first = reversed(range(len(axes)))
-        boundary = tuple(
-            reversed([_boundary_rows(model, axes, a, oversample) for a in last_first])
-        )
-    if not all(np.isfinite(f).all() for f in blocks + sum(boundary, ())):
+        edges = [_boundary_rows(model, axes, a, oversample) for a in reversed(range(len(axes)))]
+    if not all(np.isfinite(f).all() for f in blocks + sum(edges, ())):
         raise _overflow(axes)
-    return GeneratorMatrix(axes, blocks, boundary, mu)
+    # the one cut of the whole boundary term: the edges' C block-diagonal,
+    # alpha's rows first
+    cs, wts = zip(*edges)
+    rows = list(accumulate((len(a) for a in cs), initial=0))
+    cols = list(accumulate((len(w) for w in wts), initial=0))
+    c = np.zeros((rows[-1], cols[-1]))
+    for a, i, j in zip(cs, rows, cols):
+        c[i : i + a.shape[0], j : j + a.shape[1]] = a
+    c, wt = _truncate(c, np.concatenate(wts))
+    boundary = tuple((c[i:k], wt) for i, k in zip(rows, rows[1:]))
+    return GeneratorMatrix(axes, blocks, boundary[::-1], mu)
 
 
 def assemble_1d(model: Model, n: int, oversample: int = 2) -> GeneratorMatrix:

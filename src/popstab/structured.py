@@ -3,12 +3,12 @@
 Such a generator is G = L + U W^T.  L X = -P_x X - X P_y^T is the Kronecker
 sum of the per-axis blocks, acting on the n x m array X[i, j] of a vector
 (row-major, as ``matrix.reshape(n, m, dim)`` reads it), and U W^T is the
-boundary term.  Assembly gives each edge's row factor compressed to the rank
-of its kernel, V_alpha = C_a W_a^T and V_beta = C_b W_b^T, by a randomized
-range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011); the
-solver joins the two, [V_alpha; V_beta] = C W^T cut to rank r by a QR of the
-stacked W^T and an SVD of the small core, and column k of U is the outer sum
-of C[:n, k] and C[n:, k].
+boundary term.  Assembly cuts that term to its rank r once, after a
+randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011)
+has compressed each edge's kernel, and gives the edges' row factors with one
+shared W^T: V_alpha = C_a W^T and V_beta = C_b W^T.  The solver neither
+joins nor cuts: W is that W^T's transpose, and column k of U is the outer
+sum of C_a[:, k] and C_b[:, k].
 
 All work happens in Schur coordinates of the per-axis blocks (Bartels &
 Stewart, CACM 15(9), 1972), one frame per arithmetic: (quasi-)triangular
@@ -26,8 +26,8 @@ works one element of Y at a time.  A real shift uses
 the real frame, from the real Schur forms, so the Ritz values (eigenvalues
 of a real Hessenberg matrix) are real with an imaginary part of exactly 0.0
 or come in exact conjugate pairs; a complex shift uses the complex frame,
-built on first use from the complex Schur forms T = S T_c S^H of the real T,
-S a rotation of each 2 x 2 diagonal block (:func:`_complex_schur`).
+built beside the real one from the complex Schur forms T = S T_c S^H of the
+real T, S a rotation of each 2 x 2 diagonal block (:func:`_complex_schur`).
 
 The eigenvalues near a shift come from an unrestarted Arnoldi run on
 (G - sigma I)^{-1} (Saad, *Numerical Methods for Large Eigenvalue
@@ -58,8 +58,8 @@ is the eigenvector reported with the value.
   reference that the certified eigenvalues do not decide; it returns the
   refined eigenpair.
 
-A pivot of exactly 0 in K(z), z an eigenvalue of G, is raised to the floor
-of LAPACK's inverse iteration (:attr:`_Shift.lu`).  Every failure (no
+A pivot of exactly 0 in K(z), z an eigenvalue of G, is raised to
+eps max(1, ||K||inf) (:attr:`_Shift.lu`).  Every failure (no
 convergence within the step caps, a Sylvester operator that ``trsyl``'s test
 finds near singular other than at the end of a refinement, a count that does
 not certify, a refinement that takes no step or ends with a larger backward
@@ -80,7 +80,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .assembly import GeneratorMatrix, _overflow, _truncate
+from .assembly import GeneratorMatrix, _overflow
 from .linalg import _canonicalize
 
 EPS = np.finfo(float).eps
@@ -361,8 +361,9 @@ class _Shift:
     @functools.cached_property
     def lu(self) -> tuple:
         """The LU factors of K(z), a pivot of exactly 0 (getrf's info > 0)
-        raised to eps max(1, ||K||inf): the pivot floor of LAPACK's xHSEIN
-        inverse iteration, as :func:`linalg.eigenvector` applies it."""
+        raised to eps max(1, ||K||inf); every other pivot is kept.  (The
+        dense :func:`linalg.eigenvector` instead raises every pivot below
+        eps ||G||inf to that value, the floor of LAPACK's xHSEIN.)"""
         lu, piv, info = self.getrf(self.k)
         if info > 0:
             zero = np.flatnonzero(lu.diagonal() == 0)
@@ -397,34 +398,33 @@ def _quiet(method):
 
 
 class StructuredSolver:
-    """The Schur forms and the joined boundary term of one generator;
-    raises :class:`GeneratorOverflow` when ||G||inf, taken from the factors,
-    is not finite, and :class:`Uncertified` when the boundary term is 0."""
+    """The Schur forms and the boundary term of one generator, in a real
+    and a complex frame; raises :class:`GeneratorOverflow` when ||G||inf,
+    taken from the factors, is not finite, and :class:`Uncertified` when the
+    boundary term is 0."""
 
     @_quiet
     def __init__(self, generator: GeneratorMatrix):
         ax, ay = generator.axes
         self.shape = n, m = ax.n, ay.n
         px, py = generator.blocks
-        beta, alpha = generator.boundary
-        self.norm = _norm_inf(px, py, alpha, beta)
+        (cb, _), (ca, wt) = generator.boundary
+        self.norm = _norm_inf(px, py, ca, cb, wt)
         if not math.isfinite(self.norm):
             raise _overflow(generator.axes)
+        if not len(wt):
+            raise Uncertified("the boundary term is 0")
         try:
             tx, qx = scipy.linalg.schur(px)
             ty, qy = scipy.linalg.schur(py.T)
-            # the two edges joined, [C_a W_a^T; C_b W_b^T], cut to its rank
-            (ca, wa), (cb, wb) = alpha, beta
-            c = np.zeros((n + m, len(wa) + len(wb)))
-            c[:n, : len(wa)], c[n:, len(wa) :] = ca, cb
-            c, wt = _truncate(c, np.concatenate([wa, wb]))
         except scipy.linalg.LinAlgError as exc:
             raise Uncertified(str(exc)) from exc
-        if not len(wt):
-            raise Uncertified("the boundary term is 0")
         # U and W on the grid, which each frame takes in
-        self.boundary = c[:n].T[:, :, None] + c[n:].T[:, None, :], wt.reshape(-1, n, m)
-        self.real = _Frame(tx, ty, qx, qy, *self.boundary)
+        u, w = ca.T[:, :, None] + cb.T[:, None, :], wt.reshape(-1, n, m)
+        self.real = _Frame(tx, ty, qx, qy, u, w)
+        # Z_x = Q_x S_x and Z_y = Q_y conj(S_y) for T = S T_c S^H
+        (tcx, sx), (tcy, sy) = _complex_schur(tx), _complex_schur(ty)
+        self.complex = _Frame(tcx, tcy, qx @ sx, qy @ sy.conj(), u, w)
         # ||L|| <= ||P_x|| + ||P_y||, so ||(L - zI)^{-1}|| <= 1 / (|z| - ||L||)
         # and ||K(z) - I|| <= 1/2 wherever |z| >= tail
         self.tail = float(
@@ -434,15 +434,6 @@ class StructuredSolver:
         )
         # rightmost()'s certifying line Re z = c and its values' eigenvectors
         self.line = self.vectors = None
-
-    @functools.cached_property
-    @_quiet
-    def complex(self) -> _Frame:
-        """The complex frame, from the complex Schur forms T = S T_c S^H of
-        the real T: Z_x = Q_x S_x and Z_y = Q_y conj(S_y)."""
-        tx, sx = _complex_schur(self.real.tx)
-        ty, sy = _complex_schur(self.real.ty)
-        return _Frame(tx, ty, self.real.zx @ sx, self.real.zy @ sy.conj(), *self.boundary)
 
     def _frame(self, z: complex) -> tuple:
         """The frame of z's arithmetic, and z in it: a float on the real axis."""
@@ -674,24 +665,24 @@ class StructuredSolver:
         return complex(values[0]), vectors[0]
 
 
-def _norm_inf(px, py, alpha, beta) -> float:
-    """||G||inf from the blocks and the row factors (C, W^T) of alpha
-    (C n x r_a) and of beta (C m x r_b).
+def _norm_inf(px, py, ca, cb, wt) -> float:
+    """||G||inf from the blocks and the boundary term's factors: the rows
+    C_a (n x r) of alpha and C_b (m x r) of beta, and their shared W^T.
 
     Row (i, j) of G is alpha_i + beta_j - e_i (x) P_y[j] - P_x[i] (x) e_j,
-    so its absolute sum is at most ||alpha_i||_1 + ||beta_j||_1 +
-    ||P_x[i]||_1 + ||P_y[j]||_1, with ||alpha_i||_1 <= sum_k |C_ik| ||W_k||_1
-    (an equality at rank 1), and likewise for beta.  Rows are summed exactly
-    in descending order of that bound, NORM_CHUNK at a time, until the next
-    bound, widened by the rounding of the sums, falls below the largest sum:
-    the result is exact up to rounding.  A bound that is not finite gives
-    inf.
+    alpha_i + beta_j = (C_a[i] + C_b[j]) W^T, so its absolute sum is at most
+    ||alpha_i||_1 + ||beta_j||_1 + ||P_x[i]||_1 + ||P_y[j]||_1, with
+    ||alpha_i||_1 <= sum_k |C_a[i, k]| ||W_k||_1 (an equality at rank 1),
+    and likewise for beta.  Rows are summed exactly in descending order of
+    that bound, NORM_CHUNK at a time, until the next bound, widened by the
+    rounding of the sums, falls below the largest sum: the result is exact
+    up to rounding.  A bound that is not finite gives inf.
     """
     n, m = len(px), len(py)
-    (ca, wa), (cb, wb) = alpha, beta
+    spread = np.abs(wt).sum(axis=1)
     bound = np.add.outer(
-        np.abs(ca) @ np.abs(wa).sum(axis=1) + np.abs(px).sum(axis=1),
-        np.abs(cb) @ np.abs(wb).sum(axis=1) + np.abs(py).sum(axis=1),
+        np.abs(ca) @ spread + np.abs(px).sum(axis=1),
+        np.abs(cb) @ spread + np.abs(py).sum(axis=1),
     ).ravel()
     if not np.isfinite(bound).all():
         return math.inf
@@ -703,9 +694,7 @@ def _norm_inf(px, py, alpha, beta) -> float:
             break
         i, j = np.divmod(order[start : start + NORM_CHUNK], m)
         k = np.arange(len(i))
-        rows = ca[i] @ wa
-        rows += cb[j] @ wb
-        rows = rows.reshape(-1, n, m)
+        rows = ((ca[i] + cb[j]) @ wt).reshape(-1, n, m)
         rows[k, i, :] -= py[j]
         rows[k, :, j] -= px[i]
         np.abs(rows, out=rows)

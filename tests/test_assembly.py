@@ -367,11 +367,24 @@ def test_nonseparable_mortality_is_subtracted_after_the_boundary_rows():
     assert np.array_equal(gen.matrix, assemble(without, 6, 5).matrix - m_block)
 
 
+OVERFLOW_2D = 'x_min = 0\nx_max = 2\ny_min = 0\ny_max = 1\nalpha = "1"\nbeta = "1"\n'
+OVERFLOW = "the generator of degree 6 x 6 overflows the float range"
+
+
 def test_overflowing_generator_is_reported():
     # cubature weights near 1e300 times a kernel of 1e300
     model = load('x_min = 0\nx_max = 1e300\nmu = "1"\nbeta = "1e300"\n')
     with pytest.raises(assembly.GeneratorOverflow):
         assemble(model, 4)
+    # a block beyond the float range: assembly itself refuses
+    with pytest.raises(assembly.GeneratorOverflow, match=OVERFLOW):
+        assemble(load(OVERFLOW_2D + 'mu = "1"\ngx = "1e308"\n'), 6)
+    # finite factors, but the whole mortality block of a mu that is not
+    # separable overflows the dense matrix
+    gen = assemble(load(OVERFLOW_2D + 'mu = "1e307*x*y + 1"\n'), 6)
+    assert gen.mu is not None
+    with pytest.raises(assembly.GeneratorOverflow, match=OVERFLOW):
+        gen.matrix
 
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex1_4", "velocity"])

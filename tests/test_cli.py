@@ -72,6 +72,15 @@ def test_spectrum_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--model", str(bad), "--n", "4")
     assert code == 3
     assert "numerical failure" in err
+    # the dense matrix, or a block at assembly, beyond the float range
+    domain = 'x_min = 0\nx_max = 2\ny_min = 0\ny_max = 1\nalpha = "1"\nbeta = "1"\n'
+    for coefficients in ('mu = "1e307*x*y + 1"\n', 'mu = "1"\ngx = "1e308"\n'):
+        bad.write_text(domain + coefficients)
+        assert run(capsys, "spectrum", "--model", str(bad), "--n", "6") == (
+            3,
+            "",
+            "popstab: numerical failure: the generator of degree 6 x 6 overflows the float range\n",
+        )
 
 
 @pytest.mark.parametrize(

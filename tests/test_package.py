@@ -53,3 +53,23 @@ def test_every_module_constant_is_read():
                 reads.add(node.attr)
     assert len(constants) > 40
     assert sorted(c for c in constants if c[1] not in reads) == []
+
+
+# the private names that one module of the package imports from another
+PRIVATE_IMPORTS = {
+    ("structured.py", "_overflow"),
+    ("structured.py", "_canonicalize"),
+    ("spectra.py", "_samples"),
+    ("spectra.py", "_closest"),
+}
+
+
+def test_private_names_imported_across_modules():
+    # a module's private name used by another ties the two together; each
+    # such tie is listed above, so that a new one shows
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {(path.name, a.name) for a in node.names if a.name.startswith("_")}
+    assert imported == PRIVATE_IMPORTS

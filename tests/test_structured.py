@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from popstab import structured
+from popstab import assembly, structured
 from popstab.assembly import GeneratorMatrix, GeneratorOverflow, assemble, collocation_grids
 from popstab.grid import cheb_grid, interp_matrix
 from popstab.linalg import eigenvalues, eigenvector, norm_inf
@@ -142,18 +142,24 @@ def test_boundary_factors_expand_to_the_uncompressed_rows(n, m):
     for name in SEPARABLE_2D + ["nonproduct"]:
         model = load_model(NONPRODUCT) if name == "nonproduct" else builtin(name)[0]
         gen = assemble(model, n, m)
+        # one W^T for both edges, as long as the solver's rank
+        shared = gen.boundary[1][1]
+        assert all(wt is shared for _, wt in gen.boundary), name
+        assert len(shared) == len(structured.StructuredSolver(gen).real.u), name
         for axis, (c, wt) in enumerate(gen.boundary):
             want = _uncompressed_rows(model, gen.axes, axis)
             assert np.max(np.abs(c @ wt - want)) <= 1e-13 * np.max(np.abs(want)), (name, axis)
             if name != "nonproduct":
-                # every builtin kernel has rank 1, but ex2_4's beta, which
-                # is 0 on its domain
-                assert len(wt) == int(want.any()), (name, axis)
+                # every builtin boundary term has rank 1; ex2_4's beta is 0
+                # on its domain, and so is its C
+                assert len(wt) == 1, (name, axis)
+                assert c.any() == want.any(), (name, axis)
 
 
 def test_joined_boundary_rank():
-    # the solver joins the two edges' factors: rank 1 on every builtin, and
-    # on the nonproduct file the rank the expanded rows had at n = 24
+    # assembly cuts the two edges' factors together: rank 1 on every
+    # builtin, and on the nonproduct file the rank the expanded rows had at
+    # n = 24
     for name in SEPARABLE_2D:
         for n in (N_MIN, 48):
             solver = structured.StructuredSolver(assemble(builtin(name)[0], n))
@@ -162,17 +168,39 @@ def test_joined_boundary_rank():
     assert len(solver.real.u) == 22
 
 
+def test_the_boundary_term_is_cut_once(monkeypatch):
+    # assembly cuts both edges' rows together, once, and the solver cuts
+    # nothing
+    calls = []
+    cut = assembly._truncate
+
+    def spy(c, wt):
+        calls.append(len(c))
+        return cut(c, wt)
+
+    monkeypatch.setattr(assembly, "_truncate", spy)
+    for name in SEPARABLE_2D + ["nonproduct"]:
+        model = load_model(NONPRODUCT) if name == "nonproduct" else builtin(name)[0]
+        gen = assemble(model, N_MIN)
+        structured.StructuredSolver(gen)
+        assert calls == [2 * N_MIN], name
+        calls.clear()
+
+
 def test_a_kernel_of_rank_0_keeps_the_structured_path():
     gen = assemble(builtin("ex2_4")[0], 24)
-    (_, beta), (_, alpha) = gen.boundary
-    assert len(beta) == 0 and len(alpha) == 1
+    (c_beta, wt_beta), (c_alpha, wt_alpha) = gen.boundary
+    # beta is 0: its rows are 0, and the shared W^T is alpha's, of rank 1
+    assert wt_beta is wt_alpha and len(wt_alpha) == 1
+    assert not c_beta.any() and c_alpha.any()
+    assert len(structured.StructuredSolver(gen).real.u) == 1
     report = compute_spectrum(gen, k=1)
     assert report.path == "structured"
     assert _close(report.abscissa, _dense_report(gen).eigenvalues[0].real)
 
 
 def test_a_zero_boundary_term_takes_the_dense_path():
-    # both kernels 0: the solver has no boundary term to join
+    # both kernels 0: the boundary term has rank 0
     model = load_model(
         'x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\nmu = "1"\nalpha = "0"\nbeta = "0"\n'
     )
@@ -793,7 +821,10 @@ def test_pruned_norm_when_the_largest_bounds_cancel():
     ).ravel()
     sums = np.abs(dense).sum(axis=1)
     assert np.argsort(-bound, kind="stable").tolist().index(np.argmax(sums)) >= structured.NORM_CHUNK
-    got = structured._norm_inf(px, py, (np.eye(n), alpha), (np.eye(m), beta))
+    # the shared W^T [alpha; beta] and a block C
+    wt = np.concatenate([alpha, beta])
+    ca, cb = np.eye(n, n + m), np.eye(m, n + m, n)
+    got = structured._norm_inf(px, py, ca, cb, wt)
     assert abs(got - want) <= 1e-15 * want
 
 
