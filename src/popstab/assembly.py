@@ -29,12 +29,14 @@ the one-axis case: generator = -D - D^{-1} diag(mu) D + 1 (w beta)^T E D.
 
 Each row factor is built compressed, V = C W^T.  The kernel samples come at
 the shape the expression evaluator returns (ex2_1's alpha = x^2 |x| 5/8 as
-(n, 1, 1)), and the range of their unfolding (other-axis nodes x cubature
-grid), as the boundary row sees it, is found by a fixed-seed randomized
-range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011) before
-anything is broadcast onto the cubature grid.  Only its r rows are weighted
-and pass through E D (:meth:`Axis.derivative`) to give W^T; C is the
-cumulative integral of the basis along the other axis.  The rank of the
+(n, 1, 1)), and their unfolding (other-axis nodes x cubature grid) is
+factored before anything is broadcast onto the cubature grid: exactly
+through a side of at most SKETCH_SAMPLES entries (ex2_1's alpha has one
+column), else on the range that the boundary row sees, found by a
+fixed-seed randomized range finder (Halko, Martinsson & Tropp, SIAM Review
+53(2), 2011).  Only the r rows of the factor are weighted and pass through
+E D (:meth:`Axis.cubature`) to give W^T; C is the cumulative integral of
+the basis along the other axis.  The rank of the
 boundary term is decided once, here: the edges' factors are stacked,
 alpha's rows first, as [C_a 0; 0 C_b] [W_a^T; W_b^T], and cut at singular
 values below RANK_RTOL (:func:`_truncate`), so that every edge's pair
@@ -54,7 +56,7 @@ the dense matrix raise :class:`GeneratorOverflow`.  Cumulative integrals are
 solves with the LU factors of the trimmed matrices, made once per axis.  An
 axis depends only on its interval and degree, so it is built once per
 (interval, degree) and shared by every generator that uses it, with its lazy
-LU factors, cubature and E D; its arrays are read-only.  Coefficient samples
+LU factors and cubature records; its arrays are read-only.  Coefficient samples
 that are undefined (log or sqrt outside their domain) or not finite raise
 :class:`InvalidSample`, naming the coefficient and the first such point of
 the grid; they are checked at the shape the evaluator returns, so the check
@@ -89,14 +91,14 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Axis:
-    """One collocation axis: its Chebyshev grid, trimmed D and (as ``lu``,
-    made on first use) the pivoted LU factors of D.  Axes are shared (see
+    """One collocation axis: its Chebyshev grid, trimmed D and, made on
+    first use, the pivoted LU factors of D (``lu``) and one cubature record
+    per oversampling factor (:meth:`cubature`).  Axes are shared (see
     :func:`collocation_axis`), so every array they hand out is read-only."""
 
     grid: ChebGrid
     d: np.ndarray
     _cubatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _derivatives: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -107,27 +109,18 @@ class Axis:
         """Inner nodes x_1 < ... < x_n = b (x_0 excluded)."""
         return self.grid.nodes[1:]
 
-    def cubature(self, oversample: int) -> tuple[CCRule, np.ndarray]:
-        """The Clenshaw-Curtis rule of degree oversample * n on the axis and
-        the interpolation matrix from the inner nodes to its nodes, built on
-        first use."""
+    def cubature(self, oversample: int) -> tuple[CCRule, np.ndarray, np.ndarray]:
+        """The Clenshaw-Curtis rule of degree oversample * n on the axis, E D
+        (E interpolates from the inner nodes to the rule's nodes: E D is the
+        derivative there of the interpolant of inner-node values) and the
+        absolute row sums of E D, built on first use."""
         if oversample not in self._cubatures:
             rule = cc_weights(cheb_grid(self.grid.a, self.grid.b, oversample * self.n))
-            interp = interp_matrix(self.theta, rule.nodes)
-            _read_only(rule.nodes, rule.grid.bary_weights, rule.weights, interp)
-            self._cubatures[oversample] = rule, interp
-        return self._cubatures[oversample]
-
-    def derivative(self, oversample: int) -> tuple[np.ndarray, np.ndarray]:
-        """E D, the interpolation matrix of :meth:`cubature` times D (the
-        derivative at the cubature nodes of the interpolant of inner-node
-        values), and its absolute row sums, built on first use."""
-        if oversample not in self._derivatives:
-            ed = self.cubature(oversample)[1] @ self.d
+            ed = interp_matrix(self.theta, rule.nodes) @ self.d
             spread = np.abs(ed).sum(axis=1)
-            _read_only(ed, spread)
-            self._derivatives[oversample] = ed, spread
-        return self._derivatives[oversample]
+            _read_only(rule.nodes, rule.grid.bary_weights, rule.weights, ed, spread)
+            self._cubatures[oversample] = rule, ed, spread
+        return self._cubatures[oversample]
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +283,11 @@ def _mortality_block(mu: np.ndarray, axes: tuple[Axis, ...]) -> np.ndarray:
 _KERNELS = ("beta", "alpha")
 
 # Singular values of the boundary term below RANK_RTOL of the largest are
-# dropped (:func:`_truncate`).  Its range is sketched first, from
-# SKETCH_SAMPLES columns on, keeping the directions above SKETCH_RTOL, a
-# quarter of the cut, for the spread of a random sketch's singular values.
+# dropped (:func:`_truncate`).  A kernel unfolding with at most
+# SKETCH_SAMPLES rows or columns is factored exactly (:func:`_compress`);
+# a larger one is sketched first, from SKETCH_SAMPLES columns on, keeping
+# the directions above SKETCH_RTOL, a quarter of the cut, for the spread of
+# a random sketch's singular values.
 # The sketch's rounding stays below it: on ex1_3 (rank 1) at n = 16..128 the
 # second singular value of the sketch lies at 2.3-11 eps of the first.
 RANK_RTOL = 64 * np.finfo(float).eps
@@ -311,48 +306,48 @@ def _along(t: np.ndarray, mats) -> np.ndarray:
 
 def _compress(a: np.ndarray, sketch, pipeline, integrate) -> tuple[np.ndarray, np.ndarray]:
     """The row factor (C, W^T) of the kernel with unfolding ``a`` (rows x
-    cols): C W^T = integrate(a) pipeline = V on the range that the sketch
-    keeps, C = integrate(Q') and W^T = pipeline(B) for Q' B = a on the range
-    that V sees.  It is not cut here: :func:`_generator` cuts the factors of
-    all edges at once.
+    cols): C W^T = integrate(a) pipeline = V, C = integrate(Q') and
+    W^T = pipeline(B) for Q' B = a on the range that V sees.  It is not cut
+    here: :func:`_generator` cuts the factors of all edges at once.
 
     ``pipeline(b)`` maps rows of ``a`` to rows of the generator,
     ``integrate(q)`` takes the cumulative integral along the other axis, and
     ``sketch(k, rng)`` applies the transposed pipeline to k fixed-seed
     random vectors omega, with entries uniform on [-1, 1] (a quarter of the
-    cost of Gaussian ones to draw).  A single row is B itself, with Q' = 1.
-    Otherwise the sketch Y = a pipeline^T omega (Halko, Martinsson & Tropp,
-    SIAM Review 53(2), 2011), or ``a`` itself when it has at most as many
-    columns, grows by appended columns until integrate(Y), a sketch of V,
-    has a singular value below SKETCH_RTOL of its largest.  Q is an orthonormal basis of the
-    combinations of Y's columns that carry the singular values above it,
-    Q' = Q s and B = s^{-1} Q^T a, s the largest entry of each row of Q^T a.
+    cost of Gaussian ones to draw).  A side of at most SKETCH_SAMPLES
+    entries factors ``a`` exactly: with few rows, Q' holds the columns of I
+    and B the rows of ``a`` that are not 0; with few columns, Q' holds the
+    columns of ``a`` that are not 0 and B the rows of I.  Otherwise the
+    sketch Y = a pipeline^T omega (Halko, Martinsson & Tropp, SIAM Review
+    53(2), 2011) of SKETCH_SAMPLES columns doubles until integrate(Y), a
+    sketch of V, has a singular value below SKETCH_RTOL of its largest, or
+    spans the smaller side.  Q is an orthonormal basis of the combinations
+    of Y's columns that carry the singular values above it, Q' = Q s and
+    B = s^{-1} Q^T a, s the largest entry of each row of Q^T a.
     """
     rows, cols = a.shape
-    if rows == 1:
-        r = int(a.any())
-        return integrate(np.ones((1, r))), pipeline(a[:r])
+    if rows <= min(cols, SKETCH_SAMPLES):
+        keep = a.any(axis=1)
+        return integrate(np.eye(rows)[:, keep]), pipeline(a[keep])
+    if cols <= SKETCH_SAMPLES:
+        keep = a.any(axis=0)
+        return integrate(a[:, keep]), pipeline(np.eye(cols)[keep])
     # the sketch of a / max|a|, which stays finite
     scale = np.abs(a).max() or 1.0
     rng = np.random.default_rng(0)
     y = np.zeros((rows, 0))
-    samples = min(SKETCH_SAMPLES, rows)
-    while cols > samples:
+    samples, limit = SKETCH_SAMPLES, min(rows, cols)
+    while True:
         y = np.concatenate([y, a @ (sketch(samples - y.shape[1], rng) / scale)], axis=1)
         _, s, vt = scipy.linalg.svd(integrate(y), full_matrices=False, check_finite=False)
-        if np.count_nonzero(s > SKETCH_RTOL * s[0]) < samples or samples == rows:
+        if np.count_nonzero(s > SKETCH_RTOL * s[0]) < samples or samples == limit:
             break
-        samples = min(2 * samples, rows)
-    else:
-        # no more columns than the sketch: a is its own
-        y = a / scale
-        _, s, vt = scipy.linalg.svd(integrate(y), full_matrices=False, check_finite=False)
+        samples = min(2 * samples, limit)
     # integrate(Y) vt^T spans V's range, Y vt^T the range of a it comes from
     vt = vt[s > SKETCH_RTOL * s[0]]
     q = scipy.linalg.qr(y @ vt.T, mode="economic", check_finite=False)[0]
     b = q.T @ a
-    # each row of B of largest entry 1: a kernel of rank 1 that is constant
-    # on the cubature grid gives B = +-1, the same row for both edges
+    # each row of B of largest entry 1
     size = np.abs(b).max(axis=1)
     return integrate(q * size), pipeline(b / size[:, None])
 
@@ -381,19 +376,18 @@ def _boundary_rows(
     The kernel is sampled at the inner nodes of the other axis and the
     cubature grid, at the shape the evaluator returns: a kernel that does
     not vary along a grid axis has length 1 there.  Its unfolding A (other
-    axis x cubature grid) is compressed first (:func:`_compress`), so that
+    axis x cubature grid) is factored first (:func:`_compress`), so that
     only the r rows of B are weighted by the cubature on the whole grid and
     integrated against the derivative of the interpolant at the cubature
-    nodes (:meth:`Axis.derivative`), W^T = (B w) (E_x D_x (x) E_y D_y), one
-    axis at a time.  C then takes the cumulative integral along the other
+    nodes (E D of :meth:`Axis.cubature`), W^T = (B w) (E_x D_x (x) E_y D_y),
+    one axis at a time.  C then takes the cumulative integral along the other
     axis; :func:`_generator` cuts the edges' factors together.
     """
     if oversample < 1:
         raise ValueError("oversample factor must be at least 1")
     name = _KERNELS[axis]
     others = axes[:axis] + axes[axis + 1:]
-    rules = [ax.cubature(oversample)[0] for ax in axes]
-    eds, spreads = zip(*(ax.derivative(oversample) for ax in axes))
+    rules, eds, spreads = zip(*(ax.cubature(oversample) for ax in axes))
     kern = _samples(
         getattr(model, name),
         name,
@@ -452,8 +446,6 @@ def _add_lifts(matrix: np.ndarray, blocks) -> None:
 
 def _generator(model: Model, degrees: tuple[int, ...], oversample: int) -> GeneratorMatrix:
     """The generator of the model at the given degree along each axis."""
-    if min(degrees) < 1:
-        raise ValueError("degrees must be at least 1")
     axes = collocation_grids(model, *degrees)
     velocities = [
         1.0 if coef is None else _velocity_samples(coef, ax.grid.nodes, name)[1:, None]

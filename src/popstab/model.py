@@ -39,7 +39,7 @@ class VariableMismatch(ValueError):
     pass
 
 
-class UnknownExample(KeyError):
+class UnknownExample(LookupError):
     pass
 
 

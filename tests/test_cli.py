@@ -64,6 +64,10 @@ def test_spectrum_missing_file(capsys):
 def test_spectrum_unknown_builtin(capsys):
     code, _, err = run(capsys, "spectrum", "--model", "builtin:nope", "--n", "4")
     assert code == 2
+    assert err == (
+        "popstab: configuration error: unknown example 'nope'; choose from ex1_1, ex1_2, "
+        "ex1_3, ex1_4, ex2_1, ex2_2, ex2_3, ex2_4, velocity, appendix1d\n"
+    )
 
 
 def test_spectrum_numerical_failure_exit_code(tmp_path, capsys):
@@ -165,7 +169,7 @@ def test_converge_exits_three_when_every_degree_failed(tmp_path, capsys, text, e
     out_csv, out_svg = tmp_path / "conv.csv", tmp_path / "conv.svg"
     code, out, err = run(
         capsys, "converge", "--model", str(model), "--n-min", "2", "--n-max", "4",
-        "--out", str(out_csv), "--svg", str(out_svg),
+        "--out", str(out_csv), "--svg", str(out_svg), "--guide-slope", "-3",
     )
     assert code == 3
     lines = err.splitlines()
@@ -176,7 +180,10 @@ def test_converge_exits_three_when_every_degree_failed(tmp_path, capsys, text, e
     assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
     assert all(row.split(",")[4] == "nan" for row in rows)
     assert "\n".join(rows) in out
-    assert out_svg.exists()
+    # no degree has an error to anchor the guide on: the plot has none
+    root = ET.parse(out_svg).getroot()
+    assert not [line for line in root.iter("{http://www.w3.org/2000/svg}line")
+                if line.get("stroke-dasharray")]
 
 
 def test_converge_without_reference_eigenfunction_computes_no_eigenvector(tmp_path, capsys):
@@ -227,6 +234,15 @@ def test_converge_svg_title_is_well_formed(tmp_path, capsys, name, shown):
     assert (code, err) == (0, "")
     root = ET.parse(svg).getroot()
     assert root.find("{http://www.w3.org/2000/svg}text").text == os.path.join(tmp_path, shown)
+
+
+def test_converge_svg_of_one_degree(tmp_path, capsys):
+    # one degree spans no range of n: the plot widens its x-range
+    svg = tmp_path / "plot.svg"
+    code, _, err = run(capsys, "converge", "--model", "builtin:ex2_1",
+                       "--n-min", "8", "--n-max", "8", "--svg", str(svg))
+    assert (code, err) == (0, "")
+    assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_huge_guide_slopes_are_clipped_to_the_plot(tmp_path, capsys):

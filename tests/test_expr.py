@@ -98,6 +98,7 @@ def test_referential_transparency():
         "-(a*b)",
         "--x",
         "1e-3 + 2.5e+10",
+        "2^(x+1)",
     ],
 )
 def test_round_trip(source):

@@ -122,6 +122,8 @@ def test_reconstruct_needs_one_target_array_per_axis(n_targets):
     targets = [np.linspace(0.0, 1.0, 4)] * n_targets
     with pytest.raises(ValueError, match="target arrays"):
         reconstruct_eigenfunction(np.ones(9), axes, *targets)
+    with pytest.raises(ValueError, match="expected eigenvector of length 9"):
+        reconstruct_eigenfunction(np.ones(8), axes, *[np.linspace(0.0, 1.0, 4)] * 2)
 
 
 def test_ex12_eigenfunction_error_small():
@@ -281,6 +283,8 @@ def test_sweep_requires_reference():
     model = load_model('x_min = 0\nx_max = 2\nmu = "1"\nbeta = "exp(-x)"\n')
     with pytest.raises(MissingReference):
         convergence_sweep(model, [4, 8])
+    with pytest.raises(MissingReference):
+        eigen_errors(compute_spectrum(assemble(model, 4), k=1), None)
 
 
 def _synthetic_records(ns, order):

@@ -187,6 +187,26 @@ def test_the_boundary_term_is_cut_once(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize(
+    "name, n, calls",
+    [("ex2_1", 24, (1, 1)), ("ex1_4", 12, (1, 1)), ("ex1_3", 24, (3, 3)),
+     ("nonproduct", 24, (5, 3)), ("appendix1d", 30, (0, 0))],
+)
+def test_lapack_calls_per_assembly(monkeypatch, name, n, calls):
+    # a kernel with at most SKETCH_SAMPLES rows or cubature columns is
+    # factored exactly, with no SVD and no QR: the one cut of the boundary
+    # term makes the only ones; ex1_3 and the nonproduct file are sketched
+    counts = {"svd": 0, "qr": 0}
+    for routine in counts:
+        def spy(*args, routine=routine, call=getattr(scipy.linalg, routine), **kwargs):
+            counts[routine] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, routine, spy)
+    assemble(load_model(NONPRODUCT) if name == "nonproduct" else builtin(name)[0], n)
+    assert (counts["svd"], counts["qr"]) == calls
+
+
 def test_a_kernel_of_rank_0_keeps_the_structured_path():
     gen = assemble(builtin("ex2_4")[0], 24)
     (c_beta, wt_beta), (c_alpha, wt_alpha) = gen.boundary
