@@ -41,7 +41,8 @@ boundary term is decided once, here: the edges' factors are stacked,
 alpha's rows first, as [C_a 0; 0 C_b] [W_a^T; W_b^T], and cut at singular
 values below RANK_RTOL (:func:`_truncate`), so that every edge's pair
 shares one W^T, which the dense matrix and the structured solver both read.
-The boundary term of every builtin has rank 1.
+At degrees up to 128 the boundary term of every builtin has rank 1, but
+ex1_3's has rank 2 at n = 103 and 107..128.
 
 A :class:`GeneratorMatrix` keeps these factors: the blocks P_k, the pair
 (C, W^T) of each axis, and the samples of a mu that is not separable.

@@ -297,8 +297,16 @@ def write_convergence_svg(path, title, records, slopes, guide_slopes=None) -> No
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, as a configuration error."""
+
+    def error(self, message):
+        print(f"popstab: configuration error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="popstab",
         description="Stability of structured population models by "
         "pseudospectral discretization of the integrated-state generator.",

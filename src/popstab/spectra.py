@@ -58,16 +58,19 @@ class EigenReport:
     """The computed eigenvalues of a generator, sorted by descending real
     part (ties by descending imaginary part).
 
-    On the dense path (``solver`` None) these are all eigenvalues, and no
-    eigenvector is stored: each call of :meth:`vector` computes one.  On the
-    structured path they are those right of the line whose count certified
-    them, and ``solver`` holds the generator's :class:`StructuredSolver`,
-    with the eigenvectors that refined them.
+    On the dense path (``solver``, ``vectors`` and ``line`` None) these are
+    all eigenvalues, and no eigenvector is stored: each call of
+    :meth:`vector` computes one.  On the structured path they are those
+    right of the line Re z = ``line`` whose count certified them, ``vectors``
+    holds the eigenvectors that refined them, one row each, and ``solver``
+    the generator's :class:`StructuredSolver`.
     """
 
     eigenvalues: np.ndarray
     generator: GeneratorMatrix
     solver: StructuredSolver | None = None
+    vectors: np.ndarray | None = None
+    line: float | None = None
 
     @property
     def path(self) -> str:
@@ -90,9 +93,9 @@ class EigenReport:
         """Right eigenvector of ``eigenvalues[index]``, unit norm, canonical
         phase: on the dense path computed by inverse iteration on every
         call, on the structured path the one whose refinement certified the
-        eigenvalue (``solver.vectors[index]``)."""
-        if self.solver is not None:
-            return self.solver.vectors[index].copy()
+        eigenvalue (``vectors[index]``)."""
+        if self.vectors is not None:
+            return self.vectors[index].copy()
         return eigenvector(self.generator.matrix, self.eigenvalues[index], self.matrix_norm)
 
 
@@ -125,7 +128,8 @@ def compute_spectrum(generator: GeneratorMatrix, k: int = 10) -> EigenReport:
     if k == 1 and applies(generator):
         try:
             solver = StructuredSolver(generator)
-            return EigenReport(solver.rightmost(), generator, solver)
+            values, vectors, line = solver.rightmost()
+            return EigenReport(values, generator, solver, vectors, line)
         except Uncertified:
             pass
     return _dense_report(generator)
@@ -173,12 +177,12 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
 
     The matched eigenvalue is the one nearest the reference, the first in
     the report's order on a tie.  On the structured path the count that
-    certified the report proves every other eigenvalue to lie left of its
-    line, so the nearest certified eigenvalue is the match when it is
-    closer to the reference than Re ref.lam - line; otherwise the match
-    comes from shift-invert at the reference, with the same tie rule, and
-    brings its refined eigenvector; the dense path runs instead when that
-    fails.
+    certified the report proves every other eigenvalue to lie left of
+    ``report.line``, so the nearest certified eigenvalue is the match, with
+    its vector from ``report.vectors``, when it is closer to the reference
+    than Re ref.lam - line; otherwise the match comes from shift-invert at
+    the reference, with the same tie rule, and brings its refined
+    eigenvector; the dense path runs instead when that fails.
     The eigenfunction is aligned with the reference by the complex scalar
     minimizing the weighted L2 distance on the tensor grid of the
     degree-2n Clenshaw-Curtis rule of each axis, and eps_phi is the
@@ -189,12 +193,11 @@ def eigen_errors(report: EigenReport, ref: ReferenceEigenpair) -> tuple[complex,
         raise MissingReference("a reference eigenpair is required")
     idx = _closest(report.eigenvalues, ref.lam)
     lam, psi = complex(report.eigenvalues[idx]), None
-    solver = report.solver
     # on the structured path every eigenvalue outside the report lies at
-    # Re z <= solver.line, at least Re ref.lam - line from the reference
-    if solver is not None and not abs(lam - ref.lam) < ref.lam.real - solver.line:
+    # Re z <= report.line, at least Re ref.lam - line from the reference
+    if report.line is not None and not abs(lam - ref.lam) < ref.lam.real - report.line:
         try:
-            lam, psi = solver.nearest(ref.lam)
+            lam, psi = report.solver.nearest(ref.lam)
         except Uncertified:
             return eigen_errors(_dense_report(report.generator), ref)
     elif ref.phi is not None:
@@ -243,8 +246,8 @@ def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[Converg
     """Errors against ``model.reference`` for each degree in n_list (with
     m = n for 2-D models).
 
-    A degree that fails numerically is recorded with nan errors and the
-    failure message; the sweep continues.
+    A degree that fails numerically, or runs out of memory, is recorded with
+    nan errors and the failure message; the sweep continues.
     """
     ref = model.reference
     if ref is None:
@@ -261,8 +264,8 @@ def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[Converg
             lam, eps_lambda, eps_phi, abscissa, matrix_norm = _sweep_degree(
                 model, n, oversample, ref
             )
-        except NUMERICAL_ERRORS as exc:
-            error = str(exc)
+        except (*NUMERICAL_ERRORS, MemoryError) as exc:
+            error = f"out of memory {exc}".rstrip() if isinstance(exc, MemoryError) else str(exc)
         records.append(
             ConvergenceRecord(
                 n, m, eps_lambda, eps_phi, lam, abscissa, matrix_norm,

@@ -3,12 +3,12 @@
 Such a generator is G = L + U W^T.  L X = -P_x X - X P_y^T is the Kronecker
 sum of the per-axis blocks, acting on the n x m array X[i, j] of a vector
 (row-major, as ``matrix.reshape(n, m, dim)`` reads it), and U W^T is the
-boundary term.  Assembly cuts that term to its rank r once, after a
-randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011)
-has compressed each edge's kernel, and gives the edges' row factors with one
-shared W^T: V_alpha = C_a W^T and V_beta = C_b W^T.  The solver neither
-joins nor cuts: W is that W^T's transpose, and column k of U is the outer
-sum of C_a[:, k] and C_b[:, k].
+boundary term.  Assembly factors each edge's kernel (exactly through a
+small side, else after a randomized range finder, Halko, Martinsson & Tropp,
+SIAM Review 53(2), 2011), cuts the term to its rank r once, and gives the
+edges' row factors with one shared W^T: V_alpha = C_a W^T and
+V_beta = C_b W^T.  The solver neither joins nor cuts: W is that W^T's
+transpose, and column k of U is the outer sum of C_a[:, k] and C_b[:, k].
 
 All work happens in Schur coordinates of the per-axis blocks (Bartels &
 Stewart, CACM 15(9), 1972), one frame per arithmetic: (quasi-)triangular
@@ -52,7 +52,7 @@ is the eigenvector reported with the value.
   The line lies a quarter of the way to the next Ritz value, and one count
   there certifies only when it equals the group's size.
   Then it refines the group, whose values must stay right of the line,
-  and keeps their eigenvectors in ``vectors``.
+  and returns them with their eigenvectors and the line.
 - :meth:`StructuredSolver.nearest` runs it at a given real shift until the
   Ritz value nearest the shift converges, and refines that value, for a
   reference that the certified eigenvalues do not decide; it returns the
@@ -385,25 +385,15 @@ class _Shift:
         return y - np.dot(coef.T, zw).reshape(y.shape)
 
 
-def _quiet(method):
-    """``method`` with floating-point warnings off: values beyond the float
-    range show as non-finite results, which raise :class:`Uncertified`."""
-
-    @functools.wraps(method)
-    def wrapper(*args):
-        with np.errstate(all="ignore"):
-            return method(*args)
-
-    return wrapper
-
-
 class StructuredSolver:
     """The Schur forms and the boundary term of one generator, in a real
     and a complex frame; raises :class:`GeneratorOverflow` when ||G||inf,
     taken from the factors, is not finite, and :class:`Uncertified` when the
-    boundary term is 0."""
+    boundary term is 0.  A solve returns its results and sets no attribute.
+    Floating-point warnings are off: values beyond the float range show as
+    non-finite results, which raise :class:`Uncertified`."""
 
-    @_quiet
+    @np.errstate(all="ignore")
     def __init__(self, generator: GeneratorMatrix):
         ax, ay = generator.axes
         self.shape = n, m = ax.n, ay.n
@@ -432,8 +422,6 @@ class StructuredSolver:
             + scipy.linalg.svdvals(py, check_finite=False)[0]
             + 2 * np.linalg.norm(self.real.u) * np.linalg.norm(self.real.w)
         )
-        # rightmost()'s certifying line Re z = c and its values' eigenvectors
-        self.line = self.vectors = None
 
     def _frame(self, z: complex) -> tuple:
         """The frame of z's arithmetic, and z in it: a float on the real axis."""
@@ -444,7 +432,7 @@ class StructuredSolver:
     def _shift(self, z: complex) -> _Shift:
         return _Shift(*self._frame(z))
 
-    @_quiet
+    @np.errstate(all="ignore")
     def _ritz(self, sigma: float, wanted=_group) -> np.ndarray:
         """The Ritz values of an Arnoldi run on (G - sigma I)^{-1}, as
         eigenvalues of G sorted rightmost first; real ones have imaginary
@@ -536,14 +524,14 @@ class StructuredSolver:
         pairs = [upper[v] if v.imag >= 0 else map(np.conj, upper[v.conj()]) for v in lam[wanted]]
         return tuple(map(np.array, zip(*pairs)))
 
-    @_quiet
-    def rightmost(self) -> np.ndarray:
-        """The eigenvalues of G right of a line Re z = c, rightmost first:
-        the rightmost group of Ritz values at sigma = 0, certified by a count
-        right of c that equals its size, and then refined; each stays right
-        of c.  c lies a quarter of the way from the group to the next Ritz
-        value (converged or not), and the count is taken once.  Sets ``line``
-        to c and ``vectors`` to their eigenvectors, one row each."""
+    @np.errstate(all="ignore")
+    def rightmost(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The eigenvalues of G right of a line Re z = c, rightmost first,
+        their eigenvectors, one row each, and c: the rightmost group of Ritz
+        values at sigma = 0, certified by a count right of c that equals its
+        size, and then refined, each staying right of c.  c lies a quarter of
+        the way from the group to the next Ritz value (converged or not), and
+        the count is taken once."""
         lam = self._ritz(0.0)
         wanted = _group(lam)
         size = wanted.stop
@@ -559,10 +547,9 @@ class StructuredSolver:
         if not (group.real > c).all():
             raise Uncertified(f"a refined eigenvalue lies left of {c}")
         order = np.lexsort((-group.imag, -group.real))
-        self.line, self.vectors = c, vectors[order]
-        return group[order]
+        return group[order], vectors[order], c
 
-    @_quiet
+    @np.errstate(all="ignore")
     def count_right(self, c: float) -> int:
         """N_L(c) + wind(c): the number of eigenvalues of G right of
         Re z = c, by the argument principle on det K along the line."""
@@ -651,7 +638,7 @@ class StructuredSolver:
             w0, d0, w1, d1 = np.r_[w0, wm], np.r_[d0, dm], np.r_[wm, w1], np.r_[dm, d1]
         return round((half + closing) / math.pi)
 
-    @_quiet
+    @np.errstate(all="ignore")
     def nearest(self, sigma: float) -> tuple[complex, np.ndarray]:
         """The eigenpair of G whose eigenvalue is nearest the real shift
         sigma (tie rule of :func:`_closest`), as :meth:`_polish` gives it."""

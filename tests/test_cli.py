@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from popstab import cli, structured
+from popstab import cli, spectra, structured
 from popstab.cli import main
 
 EX11_CONFIG = """
@@ -107,6 +107,45 @@ def test_out_of_memory_exits_three(monkeypatch, capsys, message):
     assert len(lines) == 1
     assert "out of memory" in lines[0]
     assert message in lines[0]
+
+
+def _sweep_without_memory(monkeypatch, failing):
+    sweep_degree = spectra._sweep_degree
+
+    def degree(model, n, *args):
+        if n in failing:
+            # stands in for numpy refusing a huge allocation
+            raise MemoryError(f"Unable to allocate 74.5 GiB at n = {n}")
+        return sweep_degree(model, n, *args)
+
+    monkeypatch.setattr(spectra, "_sweep_degree", degree)
+
+
+def test_converge_records_a_degree_out_of_memory(monkeypatch, capsys):
+    _sweep_without_memory(monkeypatch, {16})
+    code, out, err = run(
+        capsys, "converge", "--model", "builtin:ex2_1", "--n-min", "8", "--n-max", "24",
+        "--n-step", "8",
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:4]]
+    assert [row[0] for row in rows] == ["8", "16", "24"]
+    assert [row[2] == "nan" for row in rows] == [False, True, False]
+
+
+def test_converge_exits_three_when_every_degree_is_out_of_memory(monkeypatch, capsys):
+    _sweep_without_memory(monkeypatch, {8, 16, 24})
+    code, out, err = run(
+        capsys, "converge", "--model", "builtin:ex2_1", "--n-min", "8", "--n-max", "24",
+        "--n-step", "8",
+    )
+    assert code == 3
+    rows = [line.split(",") for line in out.splitlines()[1:4]]
+    assert [row[0] for row in rows] == ["8", "16", "24"]
+    assert all(row[2] == "nan" for row in rows)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "out of memory Unable to allocate 74.5 GiB at n = 8" in lines[0]
 
 
 def test_spectrum_default_m_matches_n(capsys):
@@ -293,6 +332,26 @@ def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--model", "builtin:ex1_1"])  # missing required --n
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "3"],
+        ["spectrum", "--model", "builtin:ex1_1", "--n", "x"],
+        [],
+        ["spectrum", "--model", "builtin:ex1_1", "--n", "3", "--bogus"],
+        ["converge", "--model", "builtin:ex2_1", "--n-min", "8"],
+    ],
+    ids=["missing-option", "not-an-integer", "no-command", "unknown-flag", "missing-n-max"],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("popstab: configuration error: ")
 
 
 def test_model_file_pipeline(tmp_path, capsys):

@@ -348,7 +348,7 @@ def test_error_rule_uses_doubled_degree():
 
 def test_eigen_errors_leaves_the_frozen_report_unchanged():
     assert [f.name for f in dataclasses.fields(EigenReport)] == [
-        "eigenvalues", "generator", "solver"
+        "eigenvalues", "generator", "solver", "vectors", "line"
     ]
     model, ref = builtin("ex1_2")
     report = compute_spectrum(assemble(model, 6), k=1)

@@ -56,9 +56,9 @@ def test_structured_path_agrees_with_dense(name, n):
     # one between the 2nd and 3rd above), equal the dense ones
     real_parts = np.unique(values.real.round(9))[::-1][:8]
     gaps = 0.5 * (real_parts[:-1] + real_parts[1:])
-    for c in (solver.line, 0.0, *(gaps if n == 24 else gaps[1:2])):
+    for c in (report.line, 0.0, *(gaps if n == 24 else gaps[1:2])):
         assert solver.count_right(c) == np.count_nonzero(values.real > c), c
-    assert np.count_nonzero(values.real > solver.line) == len(report.eigenvalues)
+    assert np.count_nonzero(values.real > report.line) == len(report.eigenvalues)
     # the eigenvalue nearest the reference and its eigenvector
     lam, eps_lambda, _ = eigen_errors(report, ref)
     want = values[np.lexsort((-values.imag, -values.real, np.abs(values - ref.lam)))[0]]
@@ -446,7 +446,7 @@ def test_reference_left_of_the_line_takes_shift_invert(monkeypatch, ref_lambda):
     model = _reference_model(ref_lambda)
     gen = assemble(model, N_MIN)
     report = compute_spectrum(gen, k=1)
-    assert report.path == "structured" and ref_lambda < report.solver.line
+    assert report.path == "structured" and ref_lambda < report.line
     nearest = _spy(monkeypatch, "nearest")
     with monkeypatch.context() as patch:
         # no fallback: the structured path answers without the dense matrix
@@ -542,10 +542,10 @@ def test_count_refuses_ritz_values_that_miss_an_eigenvalue():
     ritz = solver._ritz(0.0)
     c = 0.5 * (ritz[0].real + ritz[1].real)
     assert abs(c + 11.4477) <= 1e-4
-    group = solver.rightmost()
+    group, _, line = solver.rightmost()
     values = _dense_report(gen).eigenvalues
     assert len(group) == 1 and _close(group[0], -1.0) and _close(group[0], values[0])
-    assert solver.count_right(solver.line) == np.count_nonzero(values.real > solver.line) == 1
+    assert solver.count_right(line) == np.count_nonzero(values.real > line) == 1
     assert solver.count_right(c) == np.count_nonzero(values.real > c) == 3
 
 
@@ -612,6 +612,19 @@ def test_refined_value_left_of_the_line_falls_back_to_dense(monkeypatch):
     assert np.array_equal(report.eigenvalues, _sorted(eigenvalues(gen.matrix)))
 
 
+def test_the_solver_is_not_written_after_construction():
+    # a solve returns its results: rightmost(), nearest() and count_right()
+    # leave every attribute as the constructor set it
+    solver = structured.StructuredSolver(assemble(builtin("ex2_1")[0], 16))
+    before = dict(vars(solver))
+    _, _, line = solver.rightmost()
+    solver.nearest(-20.0)
+    solver.count_right(line)
+    after = vars(solver)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
 def test_uncertified_shift_invert_gives_the_dense_errors(monkeypatch):
     # ex2_1's eigenfunction with a reference value left of the certifying
     # line, so shift-invert decides the match; when it cannot certify, every
@@ -620,7 +633,7 @@ def test_uncertified_shift_invert_gives_the_dense_errors(monkeypatch):
     ref = dataclasses.replace(ref, lam=-7.0)
     gen = assemble(model, N_MIN)
     report = compute_spectrum(gen, k=1)
-    assert report.path == "structured" and ref.lam < report.solver.line
+    assert report.path == "structured" and ref.lam < report.line
 
     def refuse(self, sigma):
         raise structured.Uncertified("refused")
