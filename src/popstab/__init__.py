@@ -7,6 +7,7 @@ stability of the zero equilibrium.
 """
 
 from .assembly import GeneratorMatrix, assemble
+from .errors import ConfigError, NumericalFailure
 from .model import BUILTIN_NAMES, builtin, load_model
 from .spectra import (
     Verdict,
@@ -22,7 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
+    "ConfigError",
     "GeneratorMatrix",
+    "NumericalFailure",
     "Verdict",
     "assemble",
     "builtin",

@@ -74,6 +74,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg
 
+from .errors import NumericalFailure
 from .expr import DomainError
 from .grid import ChebGrid, cheb_grid, diff_ops, interp_matrix
 from .linalg import lu_factor, lu_solve
@@ -81,7 +82,7 @@ from .model import InvalidSample, Model, NonpositiveVelocity
 from .quad import CCRule, cc_weights
 
 
-class GeneratorOverflow(ArithmeticError):
+class GeneratorOverflow(NumericalFailure):
     """The generator has entries beyond the float range."""
 
 

@@ -5,14 +5,19 @@
     popstab examples
 
 Models are either ``builtin:<name>`` or a path to a model file (see the
-model module for the format).  Exit codes: 0 success, 2 configuration or
-parse error, 3 numerical failure (running out of memory included).
+model module for the format).  Exit codes follow the type of the error
+(:mod:`popstab.errors`): 0 success; 2 a :class:`ConfigError`, a file that
+cannot be read or a usage error, among them an ``--out`` or ``--svg`` path
+that is a directory or whose directory does not exist, refused before any
+work; 3 a :class:`NumericalFailure` or running out of memory, among them a
+velocity that is not positive at a grid node.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -20,38 +25,14 @@ import numpy as np
 
 from . import spectra
 from .assembly import assemble
-from .expr import ExprSyntaxError
-from .grid import DuplicateNodes, InvalidInterval
-from .model import (
-    BUILTIN_NAMES,
-    ConfigSyntax,
-    InvalidSample,
-    MissingKey,
-    UnknownExample,
-    VariableMismatch,
-    builtin,
-    load_model,
-)
-
-CONFIG_ERRORS = (
-    ConfigSyntax,
-    MissingKey,
-    VariableMismatch,
-    UnknownExample,
-    ExprSyntaxError,
-    InvalidInterval,
-    DuplicateNodes,
-    InvalidSample,
-    spectra.MissingReference,
-    OSError,
-    UnicodeDecodeError,
-)
+from .errors import ConfigError, NumericalFailure, describe
+from .model import BUILTIN_NAMES, ConfigSyntax, builtin, load_model
 
 
 def _load(source: str):
     if source.startswith("builtin:"):
         return builtin(source[len("builtin:"):])[0]
-    with open(source, "r", encoding="utf-8") as handle:
+    with open(source, "r", encoding="utf-8-sig") as handle:
         return load_model(handle.read())
 
 
@@ -347,7 +328,7 @@ POSITIVE_INTS = ("n", "m", "k", "oversample", "n_min", "n_max", "n_step")
 
 
 def _option_error(args) -> str | None:
-    """Why an option value is out of range, or None when all are in range."""
+    """Why an option value cannot be used, or None when all can."""
     for dest in POSITIVE_INTS:
         value = getattr(args, dest, None)
         if value is not None and value < 1:
@@ -362,6 +343,17 @@ def _option_error(args) -> str | None:
     n_min = getattr(args, "n_min", None)
     if n_min is not None and n_min > args.n_max:
         return f"--n-min must not exceed --n-max, got {n_min} > {args.n_max}"
+    # an output path that cannot become a file is refused before any work;
+    # the check creates and truncates nothing
+    for dest in ("out", "svg"):
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            return f"--{dest} {path} is a directory"
+        if not os.path.isdir(parent):
+            return f"--{dest} {path}: {parent} is not a directory"
     return None
 
 
@@ -374,14 +366,11 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except CONFIG_ERRORS as exc:
-        print(f"popstab: configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        print(f"popstab: configuration error: {describe(exc)}", file=sys.stderr)
         return 2
-    except spectra.NUMERICAL_ERRORS as exc:
-        print(f"popstab: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"popstab: numerical failure: out of memory {exc}".rstrip(), file=sys.stderr)
+    except (NumericalFailure, MemoryError) as exc:
+        print(f"popstab: numerical failure: {describe(exc)}", file=sys.stderr)
         return 3
 
 

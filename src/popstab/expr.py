@@ -27,8 +27,10 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ConfigError
 
-class ExprSyntaxError(ValueError):
+
+class ExprSyntaxError(ConfigError):
     """Malformed expression text; ``position`` is the 0-based offset."""
 
     def __init__(self, message: str, position: int):

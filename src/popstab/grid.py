@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 
-class InvalidInterval(ValueError):
+
+class InvalidInterval(ConfigError):
     pass
 
 
-class DuplicateNodes(ValueError):
+class DuplicateNodes(ConfigError):
     pass
 
 

@@ -19,16 +19,18 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .errors import NumericalFailure
+
 # Relative pivot threshold: the trimmed differentiation matrices are
 # nonsingular but increasingly ill-conditioned with the degree.
 PIVOT_RTOL = 1e-13
 
 
-class SingularMatrix(ArithmeticError):
+class SingularMatrix(NumericalFailure):
     """A pivot underflowed the relative threshold during factorization."""
 
 
-class NoConvergence(ArithmeticError):
+class NoConvergence(NumericalFailure):
     """The QR eigenvalue iteration failed to deflate."""
 
 

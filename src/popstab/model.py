@@ -23,31 +23,32 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr
+from .errors import ConfigError, NumericalFailure
 from .grid import cheb_grid
 from .quad import cc_weights
 
 
-class ConfigSyntax(ValueError):
+class ConfigSyntax(ConfigError):
     pass
 
 
-class MissingKey(ValueError):
+class MissingKey(ConfigError):
     pass
 
 
-class VariableMismatch(ValueError):
+class VariableMismatch(ConfigError):
     pass
 
 
-class UnknownExample(LookupError):
+class UnknownExample(ConfigError, LookupError):
     pass
 
 
-class NonpositiveVelocity(ValueError):
+class NonpositiveVelocity(NumericalFailure):
     pass
 
 
-class InvalidSample(ValueError):
+class InvalidSample(ConfigError):
     """A coefficient is undefined or not finite at a point it is sampled at."""
 
 

@@ -24,19 +24,15 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .assembly import Axis, GeneratorMatrix, GeneratorOverflow, _samples, assemble
+from .assembly import Axis, GeneratorMatrix, _samples, assemble
+from .errors import ConfigError, NumericalFailure, describe
 from .grid import interp_matrix
-from .linalg import NoConvergence, SingularMatrix, eigenvalues, eigenvector, norm_inf
-from .model import Model, NonpositiveVelocity, ReferenceEigenpair
+from .linalg import eigenvalues, eigenvector, norm_inf
+from .model import Model, ReferenceEigenpair
 from .structured import StructuredSolver, Uncertified, _closest, applies
 
 
-# The failures of one discretization: a sweep records them and goes on, the
-# command line exits 3 on them.
-NUMERICAL_ERRORS = (GeneratorOverflow, SingularMatrix, NoConvergence, NonpositiveVelocity)
-
-
-class MissingReference(ValueError):
+class MissingReference(ConfigError):
     pass
 
 
@@ -264,8 +260,8 @@ def convergence_sweep(model: Model, n_list, oversample: int = 2) -> list[Converg
             lam, eps_lambda, eps_phi, abscissa, matrix_norm = _sweep_degree(
                 model, n, oversample, ref
             )
-        except (*NUMERICAL_ERRORS, MemoryError) as exc:
-            error = f"out of memory {exc}".rstrip() if isinstance(exc, MemoryError) else str(exc)
+        except (NumericalFailure, MemoryError) as exc:
+            error = describe(exc)
         records.append(
             ConvergenceRecord(
                 n, m, eps_lambda, eps_phi, lam, abscissa, matrix_norm,

@@ -362,6 +362,44 @@ def test_model_file_pipeline(tmp_path, capsys):
     assert "verdict: Stable" in out
 
 
+def test_model_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(EX11_CONFIG, encoding="utf-8")
+    marked.write_text(EX11_CONFIG, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    outputs = []
+    for path in (plain, marked):
+        code, out, err = run(capsys, "spectrum", "--model", str(path), "--n", "4")
+        assert (code, err) == (0, "")
+        outputs.append(out.replace(str(path), "<model>"))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("converge", "--out"), ("converge", "--svg"), ("spectrum", "--out"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unusable_output_path_is_refused_before_any_work(
+    monkeypatch, tmp_path, capsys, command, flag, where
+):
+    calls = []
+    monkeypatch.setattr(cli, "assemble", lambda *a, **k: calls.append("assemble"))
+    monkeypatch.setattr(
+        spectra, "convergence_sweep", lambda *a, **k: calls.append("convergence_sweep")
+    )
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    if command == "spectrum":
+        argv = ("spectrum", "--model", "builtin:ex2_1", "--n", "8")
+    else:
+        argv = ("converge", "--model", "builtin:ex2_1", "--n-min", "8", "--n-max", "24",
+                "--n-step", "8")
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"popstab: configuration error: {flag} {path}")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +76,22 @@ def test_private_names_imported_across_modules():
             if isinstance(node, ast.ImportFrom):
                 imported |= {(path.name, a.name) for a in node.names if a.name.startswith("_")}
     assert imported == PRIVATE_IMPORTS
+
+
+# errors that the package catches itself, so that none reaches the caller
+CAUGHT_INSIDE = {"Uncertified", "_Singular", "DomainError", "UnboundVariable", "InsufficientData"}
+
+
+def test_every_error_is_a_config_error_or_a_numerical_failure():
+    # the command line's exit code follows these two classes alone
+    defined = set()
+    for info in pkgutil.iter_modules(popstab.__path__):
+        module = importlib.import_module(f"popstab.{info.name}")
+        defined |= {
+            value for value in vars(module).values()
+            if inspect.isclass(value) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        }
+    assert len(defined) > 15
+    kinds = (popstab.ConfigError, popstab.NumericalFailure)
+    assert sorted(c.__name__ for c in defined if not issubclass(c, kinds)) == sorted(CAUGHT_INSIDE)

@@ -728,6 +728,25 @@ def test_count_certifies_on_a_line_nearer_the_group(monkeypatch, n):
     assert len(report.eigenvalues) == 1 and _close(report.abscissa, ref.lam)
 
 
+@pytest.mark.parametrize(
+    "name, n, m",
+    [("ex2_1", 1, 200), ("ex2_1", 200, 1), ("ex2_1", 2, 100), ("velocity", 13, 40),
+     ("ex1_4", 40, 13)],
+)
+def test_structured_path_on_unequal_and_degenerate_degrees(monkeypatch, name, n, m):
+    # an axis of degree 1 or 2 has 1 or 2 inner nodes: its Schur factor,
+    # Sylvester leaves and boundary row factor are 1 x 1 or 2 x 2
+    gen = assemble(builtin(name)[0], n, m)
+    with monkeypatch.context() as patch:
+        _forbid_dense(patch)
+        report = compute_spectrum(gen, k=1)
+    assert report.path == "structured"
+    values = _dense_report(gen).eigenvalues
+    assert _close(report.eigenvalues[0], values[0]) and _close(report.abscissa, values[0].real)
+    line = report.line
+    assert report.solver.count_right(line) == np.count_nonzero(values.real > line) == 1
+
+
 NONSEPARABLE = (
     "x_min = 0\nx_max = 1\ny_min = 0\ny_max = 1\n"
     'mu = "x*y + 1"\nalpha = "exp(-xi)"\nbeta = "exp(-sigma)"\n'
